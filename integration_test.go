@@ -24,24 +24,30 @@ func testRC() predator.RuntimeConfig {
 }
 
 // pingPong runs two interleaving writers on addrA/addrB through the public
-// API.
+// API. The writers pass a turn back and forth every 16 writes, so their
+// writes interleave even when the OS runs the two goroutines' threads one
+// after the other, as it does on a loaded host.
 func pingPong(d *predator.Detector, addrA, addrB uint64, n int) {
+	threads := []*predator.Thread{d.Thread("a"), d.Thread("b")}
+	addrs := []uint64{addrA, addrB}
+	// One turn token circulates; each channel holds it for its writer.
+	turn := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
 	var wg sync.WaitGroup
-	for _, w := range []struct {
-		name string
-		addr uint64
-	}{{"a", addrA}, {"b", addrB}} {
-		th := d.Thread(w.name)
+	for k := range threads {
 		wg.Add(1)
-		go func(th *predator.Thread, addr uint64) {
+		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				th.Store64(addr, uint64(i))
-				if i%16 == 15 {
-					runtime.Gosched()
+				if i%16 == 0 {
+					<-turn[k]
+				}
+				threads[k].Store64(addrs[k], uint64(i))
+				if i%16 == 15 || i == n-1 {
+					turn[1-k] <- struct{}{}
 				}
 			}
-		}(th, w.addr)
+		}(k)
 	}
 	wg.Wait()
 }

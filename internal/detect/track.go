@@ -9,6 +9,7 @@
 package detect
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"predator/internal/cacheline"
@@ -105,15 +106,43 @@ func (w WordSnapshot) EffectiveOwner() int {
 type Sampler struct {
 	Window uint64 // sampling interval length; 0 disables sampling
 	Burst  uint64 // recorded prefix of each interval
+
+	// m is Lemire's fastmod multiplier ⌈2⁶⁴/Window⌉, precomputed by
+	// NewSampler so the per-access phase needs no division. 0 (a struct
+	// literal, or a Window of 1 or at least 2³²) selects the % path.
+	m uint64
+}
+
+// NewSampler returns the sampling policy with its division-free phase
+// precomputed. NewTrack and predict.NewVTrack call it on the Sampler they
+// are given, so a struct-literal Sampler gets the fast path too.
+func NewSampler(window, burst uint64) Sampler {
+	s := Sampler{Window: window, Burst: burst}
+	if window > 1 && window < 1<<32 {
+		s.m = ^uint64(0)/window + 1
+	}
+	return s
+}
+
+// phase returns (n-1) % Window, the 0-based position of the n-th access
+// (1-based) within its sampling interval; Window must be nonzero. While both
+// n-1 and Window fit in 32 bits the remainder is Lemire's fastmod, two
+// multiplications (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019, exact for 32-bit operands); beyond that, or on a
+// Sampler not built by NewSampler, it divides.
+func (s Sampler) phase(n uint64) uint64 {
+	x := n - 1
+	if s.m == 0 || x >= 1<<32 {
+		return x % s.Window
+	}
+	hi, _ := bits.Mul64(s.m*x, s.Window)
+	return hi
 }
 
 // ShouldRecord reports whether the n-th access (1-based) falls in the
 // recorded prefix of its interval.
 func (s Sampler) ShouldRecord(n uint64) bool {
-	if s.Window == 0 {
-		return true
-	}
-	return (n-1)%s.Window < s.Burst
+	return s.Window == 0 || s.phase(n) < s.Burst
 }
 
 // Rate returns the fraction of accesses recorded.
@@ -191,7 +220,7 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 	t := &Track{
 		lineBase: lineBase,
 		geom:     geom,
-		sampler:  sampler,
+		sampler:  NewSampler(sampler.Window, sampler.Burst),
 	}
 	words := make([]Word, geom.WordsPerLine())
 	initWords(words)
@@ -219,8 +248,8 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 	if t.sampler.Window > 0 {
 		// One phase computation serves both the sampling decision and the
 		// window-transition events, keeping the observed path free of a
-		// second modulo per access.
-		phase := (n - 1) % t.sampler.Window
+		// second remainder per access.
+		phase := t.sampler.phase(n)
 		if t.o != nil && (phase == 0 || phase == t.sampler.Burst) {
 			t.noteWindowPhase(phase, n)
 		}
@@ -463,7 +492,7 @@ func (t *Track) WindowPhase() (pos uint64, recording bool) {
 	if t.sampler.Window == 0 {
 		return 0, true
 	}
-	pos = t.accesses.Load() % t.sampler.Window
+	pos = t.sampler.phase(t.accesses.Load() + 1)
 	return pos, pos < t.sampler.Burst
 }
 

@@ -157,6 +157,47 @@ func TestSamplerWindow(t *testing.T) {
 	}
 }
 
+// The division-free phase must equal (n-1) % Window everywhere: inside the
+// 32-bit fastmod domain, at its edges, and on the % fallback beyond it, for
+// Samplers built by NewSampler and for struct literals alike.
+func TestSamplerPhaseMatchesModulo(t *testing.T) {
+	const max = ^uint64(0)
+	windows := []uint64{1, 2, 3, 1e6, 1<<32 - 1, 1 << 32, 1<<40 + 7}
+	for _, w := range windows {
+		fast := NewSampler(w, w/2)
+		if wantFast := w > 1 && w < 1<<32; (fast.m != 0) != wantFast {
+			t.Errorf("NewSampler(%d): fastmod multiplier set = %v, want %v", w, fast.m != 0, wantFast)
+		}
+		for _, n := range []uint64{1, 2, w, w + 1, 2*w - 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, max - 1, max} {
+			want := (n - 1) % w
+			for _, s := range []Sampler{fast, {Window: w, Burst: w / 2}} {
+				if got := s.phase(n); got != want {
+					t.Errorf("Window %d (m=%d): phase(%d) = %d, want %d", w, s.m, n, got, want)
+				}
+				if got := s.ShouldRecord(n); got != (want < w/2) {
+					t.Errorf("Window %d (m=%d): ShouldRecord(%d) = %v, want %v", w, s.m, n, got, want < w/2)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		w := uint64(rng.Uint32()>>rng.Intn(32)) + 1
+		n := uint64(rng.Uint32()) + 1
+		if got, want := NewSampler(w, 1).phase(n), (n-1)%w; got != want {
+			t.Fatalf("Window %d: phase(%d) = %d, want %d", w, n, got, want)
+		}
+	}
+	// Window 0 disables sampling, with or without NewSampler.
+	for _, s := range []Sampler{NewSampler(0, 0), NewSampler(0, 5), {}} {
+		for _, n := range []uint64{1, 2, 1 << 32, max} {
+			if !s.ShouldRecord(n) {
+				t.Errorf("Window 0, Burst %d: ShouldRecord(%d) = false", s.Burst, n)
+			}
+		}
+	}
+}
+
 func TestSamplerDisabled(t *testing.T) {
 	s := Sampler{}
 	for n := uint64(1); n < 100; n++ {

@@ -321,7 +321,7 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 			t.ringPos = 0
 		}
 		t.evCount++
-		key := (addr >> 6 << 1)
+		key := addr >> in.heap.Geometry().Shift() << 1
 		if isWrite {
 			key |= 1
 		}

@@ -215,6 +215,29 @@ func TestDedupWindowExpires(t *testing.T) {
 	}
 }
 
+// Dedup keys on the heap's own line size: on a 128-byte-line heap two
+// writes 64 bytes apart fall in one line and the second is dropped.
+func TestDedupWindowUsesHeapLineSize(t *testing.T) {
+	h, err := mem.NewHeap(mem.Config{Size: 1 << 20, LineSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recorder{}
+	in := New(h, rec, Policy{DedupWindow: 4})
+	addr, err := h.Alloc(0, 512, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := h.Geometry().AlignUp(addr)
+	th := in.NewThread("w")
+	th.Store64(line, 1)
+	th.Store64(line+64, 2)  // same 128-byte line: dropped
+	th.Store64(line+128, 3) // next line: reported
+	if len(rec.events) != 2 || rec.events[1].addr != line+128 {
+		t.Fatalf("events = %+v, want writes at %#x and %#x", rec.events, line, line+128)
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	in, _, _ := setup(t, Policy{})
 	th := in.NewThread("w")

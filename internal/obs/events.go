@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"predator/internal/obs/spans"
@@ -86,8 +86,10 @@ type Event struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Sink receives lifecycle events. Implementations must be safe for
-// concurrent use: the runtime emits from every worker thread.
+// Sink receives lifecycle events. An Observer delivers them one at a time in
+// Seq order, so a sink attached to one observer must not call back into that
+// observer's Emit. Implementations must still be safe for concurrent use:
+// a sink may be shared, and is called from every worker thread.
 type Sink interface {
 	Emit(Event)
 }
@@ -115,7 +117,8 @@ func (m MultiSink) Emit(e Event) {
 type Observer struct {
 	reg     *Registry
 	sink    Sink
-	seq     atomic.Uint64
+	emitMu  sync.Mutex // orders delivery: Seq is assigned and delivered under it
+	seq     uint64     // guarded by emitMu
 	emitted *Counter
 	self    *SelfProfiler // nil unless EnableSelfProfile was called
 	spans   *spans.Tracer // nil unless SetSpans was called
@@ -193,15 +196,21 @@ func (o *Observer) Metrics() *Registry {
 func (o *Observer) Tracing() bool { return o != nil && o.sink != nil }
 
 // Emit stamps the event with a sequence number and wall time and forwards it
-// to the sink. No-op when the observer or its sink is nil.
+// to the sink. The number is assigned and the event delivered under one
+// lock, so the sink receives, and a JSONLines sink writes, events in
+// strictly increasing Seq order even when workers emit concurrently. No-op
+// when the observer or its sink is nil.
 func (o *Observer) Emit(e Event) {
 	if o == nil || o.sink == nil {
 		return
 	}
-	e.Seq = o.seq.Add(1)
 	if e.Time == 0 {
 		e.Time = time.Now().UnixNano()
 	}
+	o.emitMu.Lock()
+	defer o.emitMu.Unlock()
+	o.seq++
+	e.Seq = o.seq
 	o.sink.Emit(e)
 	o.emitted.Inc()
 }

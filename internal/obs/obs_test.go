@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -192,7 +193,8 @@ func TestJSONLinesSink(t *testing.T) {
 
 // TestConcurrentSinkDelivery exercises concurrent emission into the JSONL
 // sink, a MultiSink fan-out, and shared instruments — the `go test -race`
-// coverage of concurrent delivery the subsystem promises.
+// coverage of concurrent delivery the subsystem promises. The JSONL output
+// must list every event once, in strictly increasing Seq order.
 func TestConcurrentSinkDelivery(t *testing.T) {
 	var buf bytes.Buffer
 	js := NewJSONLines(&buf)
@@ -228,8 +230,20 @@ func TestConcurrentSinkDelivery(t *testing.T) {
 	if js.Events() != total || fnCount.Value() != total {
 		t.Errorf("sinks: jsonl=%d fn=%d, want %d", js.Events(), fnCount.Value(), total)
 	}
-	if got := strings.Count(buf.String(), "\n"); got != total {
-		t.Errorf("jsonl lines = %d, want %d", got, total)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != total {
+		t.Errorf("jsonl lines = %d, want %d", len(lines), total)
+	}
+	var last uint64
+	for _, line := range lines {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("invalid JSONL line %q: %v", line, err)
+		}
+		if e.Seq <= last {
+			t.Fatalf("seq %d written after seq %d", e.Seq, last)
+		}
+		last = e.Seq
 	}
 	// Concurrent snapshotting while quiescent must see consistent totals.
 	snap := reg.Snapshot()

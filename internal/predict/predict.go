@@ -16,6 +16,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -211,7 +212,7 @@ type VTrack struct {
 // verified invalidation counts scale with the sampling rate exactly like
 // observed ones.
 func NewVTrack(pair HotPair, sampler detect.Sampler) *VTrack {
-	return &VTrack{Pair: pair, sampler: sampler}
+	return &VTrack{Pair: pair, sampler: detect.NewSampler(sampler.Window, sampler.Burst)}
 }
 
 // Span returns the tracked virtual line.
@@ -220,13 +221,14 @@ func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
 // HandleAccess feeds one access through the virtual line's history table if
 // it overlaps the span, and reports whether it invalidated the virtual line.
 func (v *VTrack) HandleAccess(tid int, addr, size uint64, isWrite bool) bool {
-	if !v.Pair.Span.Overlaps(addr, size) {
-		return false
-	}
-	n := v.accesses.Add(1)
-	if !v.sampler.ShouldRecord(n) {
-		return false
-	}
+	return v.Pair.Span.Overlaps(addr, size) &&
+		v.sampler.ShouldRecord(v.accesses.Add(1)) &&
+		v.record(tid, addr, isWrite)
+}
+
+// record applies one sampled access to the history table and the flight
+// recorder, and reports whether it invalidated the virtual line.
+func (v *VTrack) record(tid int, addr uint64, isWrite bool) bool {
 	r := v.recorded.Add(1)
 	invalidated := v.hist.Access(tid, isWrite)
 	var inv uint64
@@ -280,16 +282,21 @@ func (v *VTrack) Accesses() uint64 { return v.accesses.Load() }
 func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 
 // Registry routes accesses to the virtual lines they overlap. Virtual lines
-// are registered under every physical line index they intersect, so the
-// per-access routing cost is one map lookup.
+// are indexed under every physical line index they intersect, in an
+// immutable route table that Add replaces copy-on-write: Route loads the
+// current table with one atomic pointer load, binary-searches the access's
+// line, and offers the access to that line's virtual lines — no lock, no
+// map, and (detect.Sampler's fastmod) no division. What remains per virtual
+// line is its access-ordinal add, which sampling and the reported access
+// count need.
 type Registry struct {
 	geom    cacheline.Geometry
 	sampler detect.Sampler
 
-	mu     sync.RWMutex
-	byLine map[uint64][]*VTrack // physical line index -> overlapping vtracks
-	all    []*VTrack
-	spans  map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
+	table atomic.Pointer[routeTable] // never nil; replaced whole by Add
+
+	mu    sync.Mutex                 // serializes Add
+	spans map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
 
 	// budget, when non-nil, bounds how many virtual lines may be
 	// registered (core.Config.MaxVirtualLines); rejections are counted in
@@ -313,12 +320,50 @@ type Registry struct {
 // NewRegistry creates an empty registry under the given physical geometry;
 // registered virtual lines sample with the given policy.
 func NewRegistry(geom cacheline.Geometry, sampler detect.Sampler) *Registry {
-	return &Registry{
+	r := &Registry{
 		geom:    geom,
 		sampler: sampler,
-		byLine:  make(map[uint64][]*VTrack),
 		spans:   make(map[cacheline.Virtual]bool),
 	}
+	r.table.Store(&routeTable{})
+	return r
+}
+
+// routeTable is one published set of virtual lines. It is never modified
+// after publication: Add builds a successor, so readers holding an older
+// table keep a consistent view.
+type routeTable struct {
+	lines  []uint64    // physical line indices with virtual lines, ascending
+	tracks [][]*VTrack // tracks[i]: the virtual lines overlapping lines[i]
+	all    []*VTrack   // every virtual line in registration order
+}
+
+// at returns the virtual lines overlapping physical line index l.
+func (t *routeTable) at(l uint64) []*VTrack {
+	if i, ok := slices.BinarySearch(t.lines, l); ok {
+		return t.tracks[i]
+	}
+	return nil
+}
+
+// with returns a new table holding t's virtual lines plus v, indexed under
+// lines first..last. t is left unchanged: the slices it holds are cloned or
+// shared, never written.
+func (t *routeTable) with(v *VTrack, first, last uint64) *routeTable {
+	n := &routeTable{
+		lines:  slices.Clone(t.lines),
+		tracks: slices.Clone(t.tracks),
+		all:    append(slices.Clip(t.all), v),
+	}
+	for l := first; l <= last; l++ {
+		i, ok := slices.BinarySearch(n.lines, l)
+		if !ok {
+			n.lines = slices.Insert(n.lines, i, l)
+			n.tracks = slices.Insert(n.tracks, i, nil)
+		}
+		n.tracks[i] = append(slices.Clip(n.tracks[i]), v)
+	}
+	return n
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
@@ -392,12 +437,9 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 		v.regClock = r.fclock.Now()
 		v.reportThreshold = r.freport
 	}
-	r.all = append(r.all, v)
 	first := r.geom.Index(pair.Span.Start)
 	last := r.geom.Index(pair.Span.End - 1)
-	for l := first; l <= last; l++ {
-		r.byLine[l] = append(r.byLine[l], v)
-	}
+	r.table.Store(r.table.Load().with(v, first, last))
 	r.mu.Unlock()
 	r.vlinesG.Add(1)
 	if r.o.Tracing() {
@@ -410,29 +452,28 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 // Route forwards an access to every virtual line it overlaps. It returns
 // the number of virtual-line invalidations the access caused.
 func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
-	r.mu.RLock()
-	tracks := r.byLine[r.geom.Index(addr)]
+	t := r.table.Load()
+	line := r.geom.Index(addr)
+	tracks := t.at(line)
 	var spill []*VTrack
-	if size > 0 && r.geom.Index(addr) != r.geom.Index(addr+size-1) {
-		spill = r.byLine[r.geom.Index(addr+size-1)]
+	if size > 0 {
+		if last := r.geom.Index(addr + size - 1); last != line {
+			spill = t.at(last)
+		}
 	}
-	r.mu.RUnlock()
 	inv := 0
 	for _, v := range tracks {
-		if v.HandleAccess(tid, addr, size, isWrite) {
+		// VTrack.HandleAccess spelled out: it is too large to inline, and
+		// only the accesses sampling records may pay for a call.
+		if v.Pair.Span.Overlaps(addr, size) &&
+			v.sampler.ShouldRecord(v.accesses.Add(1)) &&
+			v.record(tid, addr, isWrite) {
 			inv++
 		}
 	}
 	for _, v := range spill {
-		// Avoid double-handling tracks registered under both lines.
-		dup := false
-		for _, u := range tracks {
-			if u == v {
-				dup = true
-				break
-			}
-		}
-		if !dup && v.HandleAccess(tid, addr, size, isWrite) {
+		// Tracks registered under both lines were handled above.
+		if !slices.Contains(tracks, v) && v.HandleAccess(tid, addr, size, isWrite) {
 			inv++
 		}
 	}
@@ -481,12 +522,13 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 	if end <= start {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	t := r.table.Load()
+	last := r.geom.Index(end - 1)
+	i, _ := slices.BinarySearch(t.lines, r.geom.Index(start))
 	var out []VSnapshot
 	seen := make(map[*VTrack]bool)
-	for l := r.geom.Index(start); l <= r.geom.Index(end-1); l++ {
-		for _, v := range r.byLine[l] {
+	for ; i < len(t.lines) && t.lines[i] <= last; i++ {
+		for _, v := range t.tracks[i] {
 			if seen[v] {
 				continue
 			}
@@ -500,27 +542,16 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 // Snapshots returns snapshots of every registered virtual line in
 // registration order.
 func (r *Registry) Snapshots() []VSnapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]VSnapshot, len(r.all))
-	for i, v := range r.all {
+	all := r.table.Load().all
+	out := make([]VSnapshot, len(all))
+	for i, v := range all {
 		out[i] = snapshotOf(v)
 	}
 	return out
 }
 
 // Empty reports whether no virtual lines are registered.
-func (r *Registry) Empty() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.all) == 0
-}
+func (r *Registry) Empty() bool { return len(r.table.Load().all) == 0 }
 
-// Tracks returns all registered verification tracks.
-func (r *Registry) Tracks() []*VTrack {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*VTrack, len(r.all))
-	copy(out, r.all)
-	return out
-}
+// Tracks returns all registered verification tracks in registration order.
+func (r *Registry) Tracks() []*VTrack { return slices.Clone(r.table.Load().all) }

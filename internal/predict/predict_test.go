@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -371,5 +372,92 @@ func TestRegistryConcurrentRouting(t *testing.T) {
 	}
 	if v.Invalidations() == 0 || v.Invalidations() > workers*per {
 		t.Errorf("invalidations = %d out of range", v.Invalidations())
+	}
+}
+
+// cloneTable deep-copies a route table's index so a later comparison sees
+// any write into the arrays the original holds.
+func cloneTable(t *routeTable) *routeTable {
+	c := &routeTable{lines: slices.Clone(t.lines), all: slices.Clone(t.all)}
+	for _, vs := range t.tracks {
+		c.tracks = append(c.tracks, slices.Clone(vs))
+	}
+	return c
+}
+
+func sameTable(a, b *routeTable) bool {
+	return slices.Equal(a.lines, b.lines) && slices.Equal(a.all, b.all) &&
+		slices.EqualFunc(a.tracks, b.tracks, slices.Equal[[]*VTrack])
+}
+
+// Add publishes a new route table while Route, Snapshots and
+// SnapshotsOverlapping read without locking: a table loaded before an Add is
+// unchanged after it, and a Route issued once Add has returned reaches the
+// new virtual line.
+func TestRegistryAddConcurrentWithReaders(t *testing.T) {
+	r := NewRegistry(geom, detect.Sampler{})
+	hot := r.Add(HotPair{Span: cacheline.NewVirtual(base+28, 64)}) // lines 0 and 1
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var started sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Route(tid, base+56, 8, true)
+				switch tid {
+				case 1:
+					r.Snapshots()
+				case 2:
+					r.SnapshotsOverlapping(base, base+64*64)
+				}
+				if i == 0 {
+					started.Done()
+				}
+			}
+		}(w)
+	}
+	started.Wait() // the readers run before the first Add
+	// Two virtual lines per even line 2..32, each straddling into the next
+	// line, registered in an order that inserts at the front, in the middle
+	// and at the end of the index, and into per-line lists already published.
+	const adds = 32
+	added := []*VTrack{hot}
+	for i := 0; i < adds; i++ {
+		line := 2 + 2*uint64(i*13%(adds/2))
+		start := base + line*64 + 8 + 8*uint64(i/(adds/2))
+		before := r.table.Load()
+		want := cloneTable(before)
+		v := r.Add(HotPair{Span: cacheline.NewVirtual(start, 64)})
+		if v == nil {
+			t.Fatalf("Add %d refused", i)
+		}
+		added = append(added, v)
+		if !sameTable(before, want) {
+			t.Fatalf("Add %d modified the previously published table", i)
+		}
+		r.Route(0, start, 8, true)
+		if v.Accesses() != 1 {
+			t.Fatalf("Add %d: Route after Add reached the new line %d times, want 1", i, v.Accesses())
+		}
+	}
+	if got := r.Tracks(); !slices.Equal(got, added) {
+		t.Errorf("Tracks() is not in registration order")
+	}
+	// Each straddling line is indexed under both of its lines, and
+	// SnapshotsOverlapping reports it once.
+	if got := r.SnapshotsOverlapping(base+2*64, base+4*64); len(got) != 2 {
+		t.Errorf("SnapshotsOverlapping(lines 2-3) = %d virtual lines, want 2", len(got))
 	}
 }
