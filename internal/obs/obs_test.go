@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -249,6 +251,46 @@ func TestConcurrentSinkDelivery(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap["predator_accesses_total"] != total {
 		t.Errorf("snapshot = %v", snap["predator_accesses_total"])
+	}
+}
+
+// TestEmitSerializesSlowSink checks the delivery contract the Sink doc
+// states: a sink that yields mid-delivery, as one waiting on I/O would, is
+// still called one event at a time and in Seq order, and the workers that
+// emit meanwhile wait for it rather than reaching it concurrently.
+func TestEmitSerializesSlowSink(t *testing.T) {
+	var inFlight, overlaps atomic.Int32
+	var seqs []uint64 // written only inside delivery, which is serialized
+	o := New(NewRegistry(), FuncSink(func(e Event) {
+		if inFlight.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		seqs = append(seqs, e.Seq)
+		runtime.Gosched()
+		inFlight.Add(-1)
+	}))
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				o.Emit(Event{Type: EvInvalidation})
+			}
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d deliveries overlapped another", n)
+	}
+	if len(seqs) != workers*perWorker {
+		t.Fatalf("delivered %d events, want %d", len(seqs), workers*perWorker)
+	}
+	for i, s := range seqs {
+		if s != uint64(i+1) {
+			t.Fatalf("delivery %d carried seq %d, want %d", i, s, i+1)
+		}
 	}
 }
 

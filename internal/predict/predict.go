@@ -221,9 +221,24 @@ func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
 // HandleAccess feeds one access through the virtual line's history table if
 // it overlaps the span, and reports whether it invalidated the virtual line.
 func (v *VTrack) HandleAccess(tid int, addr, size uint64, isWrite bool) bool {
-	return v.Pair.Span.Overlaps(addr, size) &&
-		v.sampler.ShouldRecord(v.accesses.Add(1)) &&
-		v.record(tid, addr, isWrite)
+	return offer([]*VTrack{v}, tid, addr, size, isWrite) > 0
+}
+
+// offer feeds one access to each virtual line in vs that it overlaps and
+// returns how many it invalidated. It is the one copy of the per-virtual-line
+// path, shared by HandleAccess and Route, and it calls out only for the
+// accesses sampling records, so a span miss or an unsampled access costs no
+// call.
+func offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool) int {
+	inv := 0
+	for _, v := range vs {
+		if v.Pair.Span.Overlaps(addr, size) &&
+			v.sampler.ShouldRecord(v.accesses.Add(1)) &&
+			v.record(tid, addr, isWrite) {
+			inv++
+		}
+	}
+	return inv
 }
 
 // record applies one sampled access to the history table and the flight
@@ -461,16 +476,7 @@ func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 			spill = t.at(last)
 		}
 	}
-	inv := 0
-	for _, v := range tracks {
-		// VTrack.HandleAccess spelled out: it is too large to inline, and
-		// only the accesses sampling records may pay for a call.
-		if v.Pair.Span.Overlaps(addr, size) &&
-			v.sampler.ShouldRecord(v.accesses.Add(1)) &&
-			v.record(tid, addr, isWrite) {
-			inv++
-		}
-	}
+	inv := offer(tracks, tid, addr, size, isWrite)
 	for _, v := range spill {
 		// Tracks registered under both lines were handled above.
 		if !slices.Contains(tracks, v) && v.HandleAccess(tid, addr, size, isWrite) {

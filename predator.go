@@ -78,7 +78,11 @@ type (
 	Metrics = obs.Registry
 	// Event is one lifecycle trace event.
 	Event = obs.Event
-	// EventSink receives lifecycle trace events.
+	// EventSink receives lifecycle trace events. An Observer delivers its
+	// events one at a time, in Seq order, under a lock that every emitting
+	// worker waits on: a sink must not block (buffer, or hand slow I/O to
+	// its own goroutine) and must not emit back into the observer that
+	// feeds it, which would deadlock.
 	EventSink = obs.Sink
 	// Provenance explains how a finding was established: when the line was
 	// flagged, the recorded interleaving, and the verification chain.
@@ -91,14 +95,18 @@ const FlightDisabled = core.FlightDisabled
 
 // NewObserver builds an Observer over a fresh metrics registry. A nil sink
 // collects metrics without tracing events; see NewJSONLinesSink for a sink
-// that streams events as JSON lines.
+// that streams events as JSON lines. Delivery to the sink is serialized, so
+// it must not block or call back into the observer's Emit (see EventSink).
 func NewObserver(sink EventSink) *Observer { return obs.New(obs.NewRegistry(), sink) }
 
 // NewResilientObserver is NewObserver with the sink wrapped in a panic
 // isolation boundary (see internal/resilience): a sink that panics more than
 // resilience.DefaultPanicLimit times is quarantined — after one final
 // sink_quarantined event — while detection continues. Use it whenever the
-// sink is not fully trusted (plugins, network exporters).
+// sink is not fully trusted (plugins, network exporters). The guard catches
+// panics only: delivery is still serialized per observer, so a sink that
+// blocks stalls every worker's Emit, and one that emits back into this
+// observer deadlocks. Give a network exporter its own buffer and goroutine.
 func NewResilientObserver(name string, sink EventSink) *Observer {
 	return obs.New(obs.NewRegistry(), resilience.GuardSink(name, sink, 0, nil))
 }
