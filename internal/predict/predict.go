@@ -225,10 +225,9 @@ func (v *VTrack) HandleAccess(tid int, addr, size uint64, isWrite bool) bool {
 }
 
 // offer feeds one access to each virtual line in vs that it overlaps and
-// returns how many it invalidated. It is the one copy of the per-virtual-line
-// path, shared by HandleAccess and Route, and it calls out only for the
-// accesses sampling records, so a span miss or an unsampled access costs no
-// call.
+// returns how many it invalidated; Route and HandleAccess both use it. Only
+// the accesses sampling records leave the loop for a call, so a span miss or
+// an unsampled access costs no call.
 func offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool) int {
 	inv := 0
 	for _, v := range vs {
