@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -246,28 +245,13 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out)
 	}
 
-	// The metrics snapshot must be valid Prometheus text format: every
-	// non-comment line is "name[{labels}] value", and the contract metrics
-	// must be present with non-zero values where the workload guarantees
-	// activity.
+	// The metrics snapshot must be valid Prometheus text format, and the
+	// contract metrics must be present with non-zero values where the
+	// workload guarantees activity.
+	values := readProm(t, metrics)
 	raw, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatal(err)
-	}
-	values := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			t.Fatalf("non-numeric value in %q: %v", line, err)
-		}
-		values[fields[0]] = v
 	}
 	for _, name := range []string{
 		"predator_accesses_total",
@@ -289,26 +273,7 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 	}
 
 	// The event stream must be JSON lines covering the detector lifecycle.
-	evRaw, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	types := map[string]int{}
-	var lastSeq float64
-	for _, line := range strings.Split(strings.TrimSpace(string(evRaw)), "\n") {
-		var ev struct {
-			Seq  float64 `json:"seq"`
-			Type string  `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("invalid JSONL line %q: %v", line, err)
-		}
-		if ev.Seq <= lastSeq {
-			t.Fatalf("event sequence not increasing at %q", line)
-		}
-		lastSeq = ev.Seq
-		types[ev.Type]++
-	}
+	types := readEvents(t, events)
 	for _, want := range []string{"thread", "alloc", "track_promoted",
 		"invalidation", "hot_pair", "virtual_line", "verification", "report"} {
 		if types[want] == 0 {

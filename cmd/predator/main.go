@@ -10,11 +10,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"predator/internal/core"
@@ -23,12 +21,8 @@ import (
 	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/obs"
-	"predator/internal/obs/diag"
-	"predator/internal/obs/fleetclient"
-	"predator/internal/obs/spans"
-	"predator/internal/obs/traceout"
+	"predator/internal/obs/agent"
 	"predator/internal/report"
-	"predator/internal/resilience"
 
 	// Register every workload suite.
 	_ "predator/internal/workloads/apps"
@@ -58,20 +52,15 @@ func main() {
 		det        = flag.Bool("deterministic", false, "serialize workers round-robin for exactly reproducible counts")
 		detGrain   = flag.Int("deterministic-grain", 16, "accesses per turn in deterministic mode")
 		quiet      = flag.Bool("quiet", false, "print only the summary line")
-		metricsOut = flag.String("metrics-out", "", "write runtime metrics in Prometheus text format to this file")
-		eventsOut  = flag.String("events-out", "", "stream lifecycle trace events as JSON lines to this file")
-		timeline   = flag.String("timeline-out", "", "write the flight-recorder timeline as Perfetto/Chrome trace-event JSON to this file")
 		flightN    = flag.Int("flight-depth", 0, "flight recorder ring depth per tracked line (0 = default, -1 = disable)")
 		heartbeat  = flag.Duration("heartbeat", 0, "heartbeat interval for periodic metric snapshots (0 = off)")
 		maxTracked = flag.Int("max-tracked-lines", 0, "resource governor budget for detailed tracking (0 = unlimited)")
 		maxVirtual = flag.Int("max-virtual-lines", 0, "resource governor budget for virtual lines (0 = unlimited)")
 		strict     = flag.Bool("strict", true, "panic on out-of-heap accesses (false: absorb them as recoverable faults)")
 		elidePath  = flag.String("elide", "", "predlint elision manifest (-elide-out): skip instrumentation on provably-safe objects")
-		spansOut   = flag.String("spans-out", "", "write the pipeline span trace as OTLP/JSON to this file")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
-	diagFlags := diag.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleetclient.RegisterFlags(flag.CommandLine)
+	exports := agent.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *version {
@@ -147,206 +136,36 @@ func main() {
 		opts.Elide = manifest
 	}
 
-	// Observability: attach an observer when any exporter (or the live
-	// diagnostics server) is requested.
-	var (
-		observer *obs.Observer
-		evSink   *obs.JSONLines
-		evFile   *os.File
-	)
-	if *metricsOut != "" || *eventsOut != "" || *spansOut != "" ||
-		diagFlags.Enabled() || fleetFlags.Enabled() {
-		var sink obs.Sink
-		if *eventsOut != "" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-				os.Exit(1)
-			}
-			evFile = f
-			evSink = obs.NewJSONLines(f)
-			// Quarantine the sink rather than let an export failure kill
-			// the run (see internal/resilience).
-			sink = resilience.GuardSink("events-jsonl", evSink, 0, nil)
-		}
-		observer = obs.New(obs.NewRegistry(), sink)
-		opts.Observer = observer
-	}
-
-	// Pipeline span tracing: on whenever the spans have somewhere to go (a
-	// -spans-out file, the diag /spans endpoint, or the fleet). The tracer
-	// rides on the observer; the root span parents every phase of the run.
-	var (
-		tracer   *spans.Tracer
-		rootSpan *spans.Span
-	)
-	if *spansOut != "" || diagFlags.Enabled() || fleetFlags.Enabled() {
-		tracer = spans.New(spans.Config{Deterministic: *det})
-		observer.SetSpans(tracer)
-		rootSpan = tracer.Start("cli.run", nil)
-		rootSpan.SetLabel("tool", "predator")
-		rootSpan.SetLabel("workload", *workload)
-		opts.Span = rootSpan
-	}
-
-	// Live diagnostics server (opt-in): self-profiling on, build info
-	// exported, runtime attached as the scrape source as soon as the
-	// harness constructs it.
-	var diagSrv *diag.Server
-	if diagFlags.Enabled() {
-		observer.EnableSelfProfile()
-		build := obs.RegisterBuildInfo(observer.Metrics(), "predator")
-		diagSrv = diag.New(observer.Metrics(), "predator", build)
-		diagSrv.SetSpans(tracer)
-		bound, err := diagSrv.Start(context.Background(), *diagFlags.Addr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("diagnostics: http://%s (metrics, hotlines, findings, timeline, spans, debug/pprof)\n", bound)
-		defer diagFlags.ShutdownAfterLinger(diagSrv, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
-	}
-	hb := obs.StartHeartbeat(observer, *heartbeat, *metricsOut)
-
-	// Fleet streaming (opt-in): findings and periodic hot-line snapshots go
-	// to a predfleet service. Server trouble never touches the run — the
-	// exporter buffers, retries with backoff, and degrades to -fleet-spool.
-	var (
-		fc      *fleetclient.Client
-		runID   string
-		rtLive  atomic.Pointer[core.Runtime]
-		stopRep func()
-	)
-	if fleetFlags.Enabled() {
-		var err error
-		fc, runID, err = fleetFlags.Client("predator")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-			os.Exit(1)
-		}
-		stopRep = fc.StartReporter(fleetFlags.ReportInterval(), func() *fleet.MetricsPayload {
-			rt := rtLive.Load()
-			if rt == nil {
-				return nil
-			}
-			mp := fleetclient.SnapshotRuntime(rt, 10, observer.Metrics().Snapshot())
-			if mp != nil {
-				mp.Run = runID
-			}
-			return mp
-		})
-	}
-
-	// Keep a handle on the runtime the harness constructs: the timeline dump
-	// reads its flight recorders after the run (and the diagnostics server
-	// and fleet reporter scrape it live).
-	var rtRef *core.Runtime
-	opts.OnRuntime = func(rt *core.Runtime) {
-		rtRef = rt
-		rtLive.Store(rt)
-		if diagSrv != nil {
-			diagSrv.SetRuntime(rt)
-		}
-	}
-
-	// Interrupted runs still produce valid output files: flush the buffered
-	// event sink and write a final metrics snapshot before dying with the
-	// conventional 130/143 exit code.
-	stopOnInt := obs.FlushOnInterrupt(func() {
-		if observer != nil && *metricsOut != "" {
-			_ = observer.Metrics().WriteSnapshotFile(*metricsOut)
-		}
-		if evSink != nil {
-			_ = evSink.Flush()
-		}
-	}, nil)
-
-	start := time.Now()
-	res, err := harness.Execute(w, opts)
+	sess, err := exports.Start(agent.Config{
+		Tool:          "predator",
+		Labels:        map[string]string{"workload": *workload},
+		Deterministic: *det,
+		Heartbeat:     *heartbeat,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "predator: %v\n", err)
 		os.Exit(1)
 	}
-	rootSpan.End()
-	hb.Stop()
-	stopOnInt()
+	defer sess.Close()
+	opts.Observer, opts.Span, opts.OnRuntime = sess.Observer, sess.Span, sess.OnRuntime
 
-	if *spansOut != "" {
-		if err := spans.WriteOTLPFile(*spansOut, "predator", tracer.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "predator: writing %s: %v\n", *spansOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("spans: %s (OTLP/JSON, trace %s)\n", *spansOut, tracer.TraceID())
+	start := time.Now()
+	res, err := harness.Execute(w, opts)
+	if err != nil {
+		sess.Fail(err)
 	}
-
-	if *timeline != "" {
-		switch {
-		case rtRef == nil:
-			fmt.Fprintln(os.Stderr, "predator: -timeline-out: no instrumented runtime (native mode has no timeline)")
-			os.Exit(1)
-		case !rtRef.FlightEnabled():
-			fmt.Fprintln(os.Stderr, "predator: -timeline-out conflicts with -flight-depth -1")
-			os.Exit(1)
+	if err := sess.Finish(res.ThreadNames, func(meta fleet.RunMeta) *fleet.FindingsPayload {
+		if res.Report == nil {
+			return nil
 		}
-		if err := traceout.WriteTimelineFile(*timeline, rtRef.FlightDump(0, -1), res.ThreadNames); err != nil {
-			fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-			os.Exit(1)
+		meta.Workload, meta.Mode, meta.Threads = w.Name(), m.String(), *threads
+		meta.DurationNs = res.Duration.Nanoseconds()
+		return &fleet.FindingsPayload{
+			Run:     meta,
+			Reports: map[string]report.JSONReport{w.Name(): res.Report.ToJSON()},
 		}
-		fmt.Printf("timeline: %s (load in ui.perfetto.dev)\n", *timeline)
-	}
-	if observer != nil {
-		if *metricsOut != "" {
-			if err := observer.Metrics().WriteSnapshotFile(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "predator: writing %s: %v\n", *metricsOut, err)
-				os.Exit(1)
-			}
-		}
-		if evSink != nil {
-			if err := evSink.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "predator: writing %s: %v\n", *eventsOut, err)
-				os.Exit(1)
-			}
-			evFile.Close()
-		}
-	}
-
-	// Ship the run to the fleet: the findings report (when instrumented) plus
-	// one final hot-line snapshot, then drain the exporter.
-	if fc != nil {
-		stopRep()
-		if res.Report != nil {
-			meta := fc.RunMeta(runID, start)
-			meta.Workload = w.Name()
-			meta.Mode = m.String()
-			meta.Threads = *threads
-			meta.DurationNs = res.Duration.Nanoseconds()
-			_ = fc.SendFindings(&fleet.FindingsPayload{
-				Run:     meta,
-				Reports: map[string]report.JSONReport{w.Name(): res.Report.ToJSON()},
-			})
-		}
-		if rt := rtLive.Load(); rt != nil {
-			if mp := fleetclient.SnapshotRuntime(rt, 10, observer.Metrics().Snapshot()); mp != nil {
-				mp.Run = runID
-				_ = fc.SendMetrics(mp)
-			}
-		}
-		if tracer != nil {
-			_ = fc.SendSpans(&fleet.SpansPayload{
-				Run:     runID,
-				TraceID: tracer.TraceID().String(),
-				Spans:   tracer.Snapshot(),
-			})
-		}
-		if err := fc.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-		} else {
-			fst := fc.Stats()
-			fmt.Fprintf(os.Stderr, "fleet: run %s -> %s (sent=%d spooled=%d)\n",
-				runID, *fleetFlags.Addr, fst.Sent, fst.Spooled)
-		}
+	}); err != nil {
+		sess.Fail(err)
 	}
 
 	variant := "buggy"
@@ -378,8 +197,7 @@ func main() {
 	if *asJSON {
 		raw, err := res.Report.MarshalIndentJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "predator: %v\n", err)
-			os.Exit(1)
+			sess.Fail(err)
 		}
 		fmt.Printf("%s\n", raw)
 		return

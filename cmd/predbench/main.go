@@ -7,26 +7,19 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
-	"sync/atomic"
-	"time"
 
-	"predator/internal/core"
 	"predator/internal/elide"
 	"predator/internal/eval"
 	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/obs"
-	"predator/internal/obs/diag"
-	"predator/internal/obs/fleetclient"
-	"predator/internal/obs/spans"
-	"predator/internal/obs/traceout"
+	"predator/internal/obs/agent"
 	"predator/internal/report"
-	"predator/internal/resilience"
 
 	_ "predator/internal/workloads/apps"
 	_ "predator/internal/workloads/parsec"
@@ -37,12 +30,10 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig2 | fig5 | fig7 | fig8 | fig9 | fig10 | apps | ablation | scaling | all")
+		experiment = flag.String("experiment", "all", strings.Join(experiments, " | "))
 		threads    = flag.Int("threads", 8, "worker thread count")
 		scale      = flag.Int("scale", 1, "workload size multiplier")
 		repeats    = flag.Int("repeats", 3, "timing repetitions (median is reported)")
-		metricsOut = flag.String("metrics-out", "", "write metrics aggregated across all runs in Prometheus text format to this file")
-		eventsOut  = flag.String("events-out", "", "stream lifecycle trace events from every run as JSON lines to this file")
 		heartbeat  = flag.Duration("heartbeat", 0, "heartbeat interval for periodic metric snapshots (0 = off)")
 		benchJSON  = flag.String("bench-json", "", "write machine-readable benchmark results (workload x mode medians, throughput, detector stats) to this file")
 		benchWork  = flag.String("bench-workloads", "", "comma-separated workloads for -bench-json (default: all evaluated workloads)")
@@ -50,17 +41,32 @@ func main() {
 		benchTol   = flag.Float64("bench-tolerance", eval.DefaultBenchTolerance, "relative slowdown-ratio growth -bench-compare tolerates before failing")
 		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler (reproducible finding counts; required for a drift-free -bench-compare gate; excludes workloads that block across threads)")
 		elidePath  = flag.String("elide", "", "predlint elision manifest (-elide-out): skip instrumentation on provably-safe objects in every detection run")
-		timeline   = flag.String("timeline-out", "", "write the last run's flight-recorder timeline as Perfetto/Chrome trace-event JSON to this file")
-		spansOut   = flag.String("spans-out", "", "write the sweep's span trace (one eval.detect span per detection run) as OTLP/JSON to this file")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
-	diagFlags := diag.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleetclient.RegisterFlags(flag.CommandLine)
+	exports := agent.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *version {
 		fmt.Println("predbench " + obs.GetBuildInfo().String())
 		return
+	}
+
+	// -bench-json / -bench-compare alone run only the bench sweep; an
+	// explicit -experiment keeps its usual meaning alongside them.
+	expSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "experiment" {
+			expSet = true
+		}
+	})
+	bench := *benchJSON != "" || *benchComp != ""
+	if bench && !expSet {
+		*experiment = "bench"
+	}
+	if !bench && !slices.Contains(experiments, *experiment) {
+		fmt.Fprintf(os.Stderr, "predbench: unknown experiment %q (want %s)\n",
+			*experiment, strings.Join(experiments, " | "))
+		os.Exit(2)
 	}
 
 	cfg := eval.Default()
@@ -76,102 +82,40 @@ func main() {
 		}
 		cfg.Elide = manifest
 	}
-
-	// Observability: one observer aggregates every run the experiments do.
-	var evSink *obs.JSONLines
-	if *metricsOut != "" || *eventsOut != "" || *spansOut != "" ||
-		diagFlags.Enabled() || fleetFlags.Enabled() {
-		var sink obs.Sink
-		if *eventsOut != "" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			evSink = obs.NewJSONLines(f)
-			// Quarantine the sink rather than let an export failure kill
-			// the whole benchmark sweep (see internal/resilience).
-			sink = resilience.GuardSink("events-jsonl", evSink, 0, nil)
-		}
-		cfg.Observer = obs.New(obs.NewRegistry(), sink)
-	}
-
-	// Sweep span tracing: one "cli.run" root; every detection run the
-	// experiments perform hangs its eval.detect/harness subtree off it.
-	var (
-		tracer   *spans.Tracer
-		rootSpan *spans.Span
-	)
-	if *spansOut != "" || diagFlags.Enabled() || fleetFlags.Enabled() {
-		tracer = spans.New(spans.Config{Deterministic: *benchDet})
-		cfg.Observer.SetSpans(tracer)
-		rootSpan = tracer.Start("cli.run", nil)
-		rootSpan.SetLabel("tool", "predbench")
-		rootSpan.SetLabel("experiment", *experiment)
-		cfg.Span = rootSpan
-	}
-
-	// Live diagnostics: the experiments run many successive runtimes; the
-	// OnRuntime hook re-points the server's scrape source at each one.
-	if diagFlags.Enabled() {
-		cfg.Observer.EnableSelfProfile()
-		build := obs.RegisterBuildInfo(cfg.Observer.Metrics(), "predbench")
-		diagSrv := diag.New(cfg.Observer.Metrics(), "predbench", build)
-		diagSrv.SetSpans(tracer)
-		bound, err := diagSrv.Start(context.Background(), *diagFlags.Addr)
-		if err != nil {
+	var baseline *eval.BenchDoc
+	if *benchComp != "" {
+		var err error
+		if baseline, err = eval.ReadBenchFile(*benchComp); err != nil {
 			fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("diagnostics: http://%s\n", bound)
-		cfg.OnRuntime = diagSrv.SetRuntime
-		defer diagFlags.ShutdownAfterLinger(diagSrv, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
 	}
 
-	// Keep a handle on the most recent detection runtime: -timeline-out dumps
-	// its flight recorders after the experiments finish.
-	var rtRef *core.Runtime
-	if *timeline != "" {
-		prev := cfg.OnRuntime
-		cfg.OnRuntime = func(rt *core.Runtime) {
-			rtRef = rt
-			if prev != nil {
-				prev(rt)
-			}
-		}
+	// One session aggregates every run the experiments do: its OnRuntime
+	// hook follows each successive runtime, and every detection run hangs
+	// its eval.detect subtree off the cli.run root span.
+	sess, err := exports.Start(agent.Config{
+		Tool:          "predbench",
+		Labels:        map[string]string{"experiment": *experiment},
+		Deterministic: *benchDet,
+		Heartbeat:     *heartbeat,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
+		os.Exit(1)
 	}
+	defer sess.Close()
+	cfg.Observer, cfg.Span, cfg.OnRuntime = sess.Observer, sess.Span, sess.OnRuntime
 
-	// Fleet streaming (opt-in): every detection run's report accumulates
-	// into one findings payload per sweep (prediction-mode reports win over
-	// detect-only ones for the same workload), live hot-line snapshots
-	// follow whichever runtime is currently executing, and the benchmark
-	// document rides along when -bench-json produced one.
+	// The fleet gets every detection run's report as one findings payload
+	// (prediction-mode reports win over detect-only ones for the same
+	// workload), plus the benchmark document when -bench-json produced one.
 	var (
-		fc           *fleetclient.Client
-		runID        string
-		rtLive       atomic.Pointer[core.Runtime]
-		stopRep      func()
 		fleetReports = map[string]report.JSONReport{}
 		fleetModes   = map[string]harness.Mode{}
 		benchDoc     *eval.BenchDoc
 	)
-	if fleetFlags.Enabled() {
-		var err error
-		fc, runID, err = fleetFlags.Client("predbench")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-			os.Exit(1)
-		}
-		prevRT := cfg.OnRuntime
-		cfg.OnRuntime = func(rt *core.Runtime) {
-			rtLive.Store(rt)
-			if prevRT != nil {
-				prevRT(rt)
-			}
-		}
+	if exports.Fleet.Enabled() {
 		cfg.OnResult = func(workload string, mode harness.Mode, res *harness.Result) {
 			if res == nil || res.Report == nil {
 				return
@@ -182,79 +126,19 @@ func main() {
 			fleetReports[workload] = res.Report.ToJSON()
 			fleetModes[workload] = mode
 		}
-		stopRep = fc.StartReporter(fleetFlags.ReportInterval(), func() *fleet.MetricsPayload {
-			rt := rtLive.Load()
-			if rt == nil {
-				return nil
-			}
-			mp := fleetclient.SnapshotRuntime(rt, 10, cfg.Observer.Metrics().Snapshot())
-			if mp != nil {
-				mp.Run = runID
-			}
-			return mp
-		})
 	}
-
-	hb := obs.StartHeartbeat(cfg.Observer, *heartbeat, *metricsOut)
-	flushObs := func() {
-		if cfg.Observer == nil {
-			return
-		}
-		if *metricsOut != "" {
-			if err := cfg.Observer.Metrics().WriteSnapshotFile(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "predbench: writing %s: %v\n", *metricsOut, err)
-			}
-		}
-		if evSink != nil {
-			if err := evSink.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "predbench: writing %s: %v\n", *eventsOut, err)
-			}
-		}
-	}
-	// A ^C mid-sweep still leaves valid metrics/event files behind.
-	stopOnInt := obs.FlushOnInterrupt(flushObs, nil)
-	defer func() {
-		hb.Stop()
-		stopOnInt()
-		flushObs()
-	}()
 
 	run := func(name string, fn func() error) {
 		fmt.Printf("==== %s ====\n", name)
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: %s: %v\n", name, err)
-			os.Exit(1)
+			sess.Fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println()
 	}
 
-	// -bench-json / -bench-compare alone run only the bench sweep; an
-	// explicit -experiment keeps its usual meaning alongside them.
-	expSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "experiment" {
-			expSet = true
-		}
-	})
-	if (*benchJSON != "" || *benchComp != "") && !expSet {
-		*experiment = "bench"
-	}
-	rootSpan.SetLabel("experiment", *experiment)
-
 	want := func(name string) bool { return *experiment == "all" || *experiment == name }
-	ran := false
 
-	if *benchJSON != "" || *benchComp != "" {
-		ran = true
-		var baseline *eval.BenchDoc
-		if *benchComp != "" {
-			var err error
-			baseline, err = eval.ReadBenchFile(*benchComp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
+	if bench {
 		run("Bench: workload x mode sweep (machine-readable)", func() error {
 			workloads := eval.AllWorkloads()
 			switch {
@@ -292,7 +176,6 @@ func main() {
 	}
 
 	if want("table1") {
-		ran = true
 		run("Table 1: false sharing in Phoenix and PARSEC", func() error {
 			rows, err := eval.Table1(cfg)
 			if err != nil {
@@ -303,7 +186,6 @@ func main() {
 		})
 	}
 	if want("fig2") {
-		ran = true
 		run("Figure 2: linear_regression object alignment sensitivity", func() error {
 			points, err := eval.Figure2(cfg)
 			if err != nil {
@@ -314,7 +196,6 @@ func main() {
 		})
 	}
 	if want("fig5") {
-		ran = true
 		run("Figure 5: example PREDATOR report (linear_regression)", func() error {
 			out, err := eval.Figure5(cfg)
 			if err != nil {
@@ -325,7 +206,6 @@ func main() {
 		})
 	}
 	if want("fig7") {
-		ran = true
 		run("Figure 7: execution time overhead", func() error {
 			rows, err := eval.Figure7(cfg, eval.AllWorkloads())
 			if err != nil {
@@ -336,7 +216,6 @@ func main() {
 		})
 	}
 	if want("fig8") || want("fig9") {
-		ran = true
 		run("Figures 8 & 9: memory overhead", func() error {
 			rows, err := eval.Figure8(cfg, eval.AllWorkloads())
 			if err != nil {
@@ -350,7 +229,6 @@ func main() {
 		})
 	}
 	if want("fig10") {
-		ran = true
 		run("Figure 10: sampling rate sensitivity", func() error {
 			rows, err := eval.Figure10(cfg)
 			if err != nil {
@@ -361,7 +239,6 @@ func main() {
 		})
 	}
 	if want("apps") {
-		ran = true
 		run("Real applications (paper 4.1.2)", func() error {
 			rows, err := eval.Apps(cfg)
 			if err != nil {
@@ -372,7 +249,6 @@ func main() {
 		})
 	}
 	if want("ablation") {
-		ran = true
 		run("Ablations: instrumentation policy / tracking threshold / interleaving grain", func() error {
 			policy, err := eval.PolicyAblation(cfg)
 			if err != nil {
@@ -396,7 +272,6 @@ func main() {
 		})
 	}
 	if want("scaling") {
-		ran = true
 		run("Scaling: false sharing penalty vs thread count (model cycles)", func() error {
 			for _, workload := range []string{"mysql", "ww_share"} {
 				rows, err := eval.Scaling(cfg, workload, []int{2, 4, 8, 16})
@@ -409,73 +284,13 @@ func main() {
 			return nil
 		})
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "predbench: unknown experiment %q (want %s)\n",
-			*experiment, strings.Join([]string{"table1", "fig2", "fig5", "fig7", "fig8", "fig9", "fig10", "apps", "ablation", "scaling", "all"}, " | "))
-		os.Exit(2)
-	}
-
-	if *timeline != "" {
-		// The experiments run many successive runtimes; the dump shows the
-		// last instrumented run (track names fall back to "thread N" — the
-		// evaluation loop does not surface per-run thread labels).
-		switch {
-		case rtRef == nil:
-			fmt.Fprintln(os.Stderr, "predbench: -timeline-out: no instrumented run performed")
-			os.Exit(1)
-		case !rtRef.FlightEnabled():
-			fmt.Fprintln(os.Stderr, "predbench: -timeline-out: flight recording disabled in the runtime config")
-			os.Exit(1)
-		}
-		if err := traceout.WriteTimelineFile(*timeline, rtRef.FlightDump(0, -1), nil); err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("timeline: %s (load in ui.perfetto.dev)\n", *timeline)
-	}
-
-	rootSpan.End()
-	if *spansOut != "" {
-		if err := spans.WriteOTLPFile(*spansOut, "predbench", tracer.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: writing %s: %v\n", *spansOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("spans: %s (OTLP/JSON, trace %s)\n", *spansOut, tracer.TraceID())
-	}
-
-	// Ship the sweep to the fleet: every collected report as one run (plus
-	// the benchmark document when -bench-json produced one), a final metrics
-	// snapshot, then drain the exporter.
-	if fc != nil {
-		stopRep()
-		meta := fc.RunMeta(runID, time.Now())
-		meta.Workload = *experiment
-		meta.Mode = "predict"
-		meta.Threads = *threads
-		_ = fc.SendFindings(&fleet.FindingsPayload{
-			Run:     meta,
-			Reports: fleetReports,
-			Bench:   benchDoc,
-		})
-		if rt := rtLive.Load(); rt != nil {
-			if mp := fleetclient.SnapshotRuntime(rt, 10, cfg.Observer.Metrics().Snapshot()); mp != nil {
-				mp.Run = runID
-				_ = fc.SendMetrics(mp)
-			}
-		}
-		if tracer != nil {
-			_ = fc.SendSpans(&fleet.SpansPayload{
-				Run:     runID,
-				TraceID: tracer.TraceID().String(),
-				Spans:   tracer.Snapshot(),
-			})
-		}
-		if err := fc.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-		} else {
-			fst := fc.Stats()
-			fmt.Printf("fleet: run %s -> %s (%d workload report(s), sent=%d spooled=%d)\n",
-				runID, *fleetFlags.Addr, len(fleetReports), fst.Sent, fst.Spooled)
-		}
+	if err := sess.Finish(nil, func(meta fleet.RunMeta) *fleet.FindingsPayload {
+		meta.Workload, meta.Mode, meta.Threads = *experiment, "predict", *threads
+		return &fleet.FindingsPayload{Run: meta, Reports: fleetReports, Bench: benchDoc}
+	}); err != nil {
+		sess.Fail(err)
 	}
 }
+
+// experiments are the -experiment values besides the bench sweep.
+var experiments = []string{"table1", "fig2", "fig5", "fig7", "fig8", "fig9", "fig10", "apps", "ablation", "scaling", "all"}

@@ -9,7 +9,6 @@ import (
 
 	"predator/internal/mem"
 	"predator/internal/report"
-	"predator/internal/xsync"
 )
 
 // testConfig uses small thresholds and no sampling so unit tests are fast
@@ -323,7 +322,7 @@ func TestConcurrentWorkloadSafety(t *testing.T) {
 	// (short unsynchronized goroutines can run back-to-back and produce
 	// almost no interleaving).
 	const workers, rounds = 4, 5000
-	barrier := xsync.NewBarrier(workers)
+	barrier := newBarrier(workers)
 	var wg sync.WaitGroup
 	for tid := 1; tid <= workers; tid++ {
 		wg.Add(1)
@@ -343,6 +342,38 @@ func TestConcurrentWorkloadSafety(t *testing.T) {
 	}
 	if got := rt.Stats().Accesses; got != workers*rounds {
 		t.Errorf("accesses = %d, want %d", got, workers*rounds)
+	}
+}
+
+// barrier is a reusable barrier: Wait blocks until n goroutines have
+// called it, releases them together, and resets for the next round. The
+// released writers then run their next round concurrently.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n       int
+	waiting int
+	round   int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond.L = &b.mu
+	return b
+}
+
+func (b *barrier) Wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	round := b.round
+	if b.waiting++; b.waiting == b.n {
+		b.waiting = 0
+		b.round++
+		b.cond.Broadcast()
+		return
+	}
+	for round == b.round {
+		b.cond.Wait()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -147,6 +148,24 @@ func TestSnapshotFile(t *testing.T) {
 	r.Counter("predator_runs_total", "").Inc()
 	if err := r.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
+	}
+	// The snapshot gets the mode every other export file gets from
+	// os.Create (0666 less the umask), not os.CreateTemp's 0600.
+	plain, err := os.Create(filepath.Join(filepath.Dir(path), "plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Close()
+	want, err := os.Stat(plain.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Errorf("snapshot mode = %v, want %v (as os.Create makes)", got.Mode(), want.Mode())
 	}
 }
 

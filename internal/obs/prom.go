@@ -2,12 +2,15 @@ package obs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -61,13 +64,14 @@ func formatFloat(v float64) string {
 
 // WriteSnapshotFile atomically replaces path with the registry's current
 // Prometheus rendering (write to a temp file in the same directory, then
-// rename), so scrapers never read a torn snapshot.
+// rename), so scrapers never read a torn snapshot. The file gets the same
+// mode as the other export files, 0666 less the umask, so a textfile
+// collector running as another user can read it.
 func (r *Registry) WriteSnapshotFile(path string) error {
 	if r == nil {
 		return nil
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".predator-metrics-*")
+	f, err := createTemp(filepath.Dir(path), ".predator-metrics-")
 	if err != nil {
 		return err
 	}
@@ -82,4 +86,21 @@ func (r *Registry) WriteSnapshotFile(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// snapshotSeq numbers this process's snapshot temp files.
+var snapshotSeq atomic.Uint64
+
+// createTemp creates a new file in dir named prefix plus the process ID and
+// a sequence number. Unlike os.CreateTemp, which always uses 0600, it asks
+// for 0666 and leaves the rest to the umask.
+func createTemp(dir, prefix string) (f *os.File, err error) {
+	for try := 0; try < 100; try++ {
+		name := filepath.Join(dir, fmt.Sprintf("%s%d-%d", prefix, os.Getpid(), snapshotSeq.Add(1)))
+		f, err = os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
+	return f, err
 }
