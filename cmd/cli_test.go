@@ -286,15 +286,11 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 }
 
 func TestPredreplayExportsObservability(t *testing.T) {
+	tracePath := recordTrace(t, "histogram")
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "hist.trace")
-	out, err := run(t, "predreplay", "-record", "histogram", "-out", tracePath, "-threads", "4")
-	if err != nil {
-		t.Fatalf("record: %v\n%s", err, out)
-	}
 	metrics := filepath.Join(dir, "replay.prom")
 	events := filepath.Join(dir, "replay.jsonl")
-	out, err = run(t, "predreplay", "-replay", tracePath,
+	out, err := run(t, "predreplay", "-replay", tracePath,
 		"-metrics-out", metrics, "-events-out", events)
 	if err != nil {
 		t.Fatalf("replay: %v\n%s", err, out)
