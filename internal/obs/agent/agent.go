@@ -4,8 +4,8 @@
 // and the tracer (with its cli.run root span), starts the diagnostics
 // server, heartbeat, fleet client and interrupt flush, and at the end of the
 // run writes every export file and ships the run to the fleet. An
-// interrupt, an error exit and a clean finish all end in the same flush, so
-// each leaves complete metrics and event files behind.
+// interrupt, an error exit and a clean finish all end in the same flush of
+// the metrics and event files.
 package agent
 
 import (
