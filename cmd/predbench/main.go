@@ -92,8 +92,9 @@ func main() {
 	}
 
 	// One session aggregates every run the experiments do: its OnRuntime
-	// hook follows each successive runtime, and every detection run hangs
-	// its eval.detect subtree off the cli.run root span.
+	// hook (set only when an export reads the runtime) follows each
+	// successive runtime, and every detection run hangs its eval.detect
+	// subtree off the cli.run root span.
 	sess, err := exports.Start(agent.Config{
 		Tool:          "predbench",
 		Labels:        map[string]string{"experiment": *experiment},

@@ -62,11 +62,16 @@ type Config struct {
 }
 
 // Session is one run's export path. The CLI hands Observer, Span and
-// OnRuntime to the harness, eval or replay options; Observer and Span stay
-// nil when no export needs them.
+// OnRuntime to the harness, eval or replay options; each stays nil when no
+// export needs it.
 type Session struct {
 	Observer *obs.Observer
 	Span     *spans.Span
+	// OnRuntime is the OnRuntime hook of harness.Options, eval.Config and
+	// trace.ReplayOptions. Set only when -timeline-out, -diag-addr or the
+	// fleet reads the runtime: a kept runtime stays reachable into the next
+	// run, whose memory measurement would then start high.
+	OnRuntime func(*core.Runtime)
 
 	f       *Flags
 	tool    string
@@ -116,7 +121,7 @@ func (f *Flags) Start(cfg Config) (*Session, error) {
 		}
 	}
 
-	// Live diagnostics: self-profiling on, build info exported; OnRuntime
+	// Live diagnostics: self-profiling on, build info exported; setRuntime
 	// attaches each runtime as the scrape source.
 	if f.Diag.Enabled() {
 		s.Observer.EnableSelfProfile()
@@ -140,16 +145,18 @@ func (f *Flags) Start(cfg Config) (*Session, error) {
 		s.stopRep = s.fc.StartReporter(f.Fleet.ReportInterval(), s.runtimeMetrics)
 	}
 
+	if *f.TimelineOut != "" || s.diagSrv != nil || s.fc != nil {
+		s.OnRuntime = s.setRuntime
+	}
 	s.hb = obs.StartHeartbeat(s.Observer, cfg.Heartbeat, *f.MetricsOut)
 	// An interrupted run exits 130 or 143 whatever the flush returns.
 	s.stopInt = obs.FlushOnInterrupt(func() { _ = s.flush() }, nil)
 	return s, nil
 }
 
-// OnRuntime is the OnRuntime hook of harness.Options, eval.Config and
-// trace.ReplayOptions: it keeps the latest runtime for the timeline and the
-// fleet snapshots, and re-points the diagnostics server at it.
-func (s *Session) OnRuntime(rt *core.Runtime) {
+// setRuntime keeps the latest runtime for the timeline and the fleet
+// snapshots, and re-points the diagnostics server at it.
+func (s *Session) setRuntime(rt *core.Runtime) {
 	s.rt.Store(rt)
 	if s.diagSrv != nil {
 		s.diagSrv.SetRuntime(rt)

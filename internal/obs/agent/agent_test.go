@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"predator/internal/eval"
 	"predator/internal/obs"
+	_ "predator/internal/workloads/phoenix"
 )
 
 // startSession registers the exporter flags on a fresh flag set, parses
@@ -102,5 +104,35 @@ func TestConcurrentFlushes(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "metrics.prom")); err != nil {
 		t.Errorf("no metrics snapshot: %v", err)
+	}
+}
+
+// TestNoRuntimeKeptWithoutReader: only -timeline-out, -diag-addr and the
+// fleet read the last runtime, so a session without them keeps none. A kept
+// runtime stays reachable into the next workload's memory baseline, and
+// Figure 8 then charges every workload after the first one runtime too few.
+func TestNoRuntimeKeptWithoutReader(t *testing.T) {
+	dir := t.TempDir()
+	s := startSession(t, Config{Tool: "agenttest"},
+		"-metrics-out", filepath.Join(dir, "metrics.prom"), "-events-out", filepath.Join(dir, "events.jsonl"),
+		"-spans-out", filepath.Join(dir, "spans.json"))
+	defer s.stopInt()
+	cfg := eval.Default()
+	cfg.Repeats = 1
+	cfg.Observer, cfg.Span, cfg.OnRuntime = s.Observer, s.Span, s.OnRuntime
+	rows, err := eval.Figure8(cfg, []string{"histogram", "word_count"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.PredatorBytes <= r.OriginalBytes {
+			t.Errorf("%s: PREDATOR memory (%d) not above Original (%d)", r.Workload, r.PredatorBytes, r.OriginalBytes)
+		}
+	}
+
+	timeline := startSession(t, Config{Tool: "agenttest"}, "-timeline-out", filepath.Join(dir, "timeline.json"))
+	defer timeline.stopInt()
+	if timeline.OnRuntime == nil {
+		t.Error("-timeline-out session keeps no runtime to dump")
 	}
 }
