@@ -1,5 +1,5 @@
 // Command predfleet is the fleet aggregation service: predator agents across
-// many machines stream findings, metric snapshots, and trace segments here,
+// many machines stream findings, metric snapshots, and span traces here,
 // and the service answers fleet-wide questions — which projects regressed,
 // which cache lines are hottest across the fleet, how did this run compare
 // to the last one.
@@ -88,7 +88,8 @@ func main() {
 	if rec.Segments > 0 {
 		fmt.Printf("store: recovered %d record(s) from %d segment(s) in %s", rec.Records, rec.Segments, *dir)
 		if !rec.Clean() {
-			fmt.Printf("  [salvaged: %d corrupt line(s), %d truncated tail(s)]", rec.CorruptLines, rec.TruncatedTails)
+			fmt.Printf("  [salvaged: %d corrupt line(s), %d truncated tail(s), %d unknown record type(s)]",
+				rec.CorruptLines, rec.TruncatedTails, rec.UnknownTypes)
 		}
 		fmt.Println()
 	}

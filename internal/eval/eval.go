@@ -39,7 +39,8 @@ type Config struct {
 	// across every run the evaluation performs.
 	Observer *obs.Observer
 	// OnRuntime, when non-nil, receives each detection runtime the
-	// evaluation constructs, right before its workload runs. The live
+	// evaluation constructs, right before its workload runs, and nil before
+	// each memory baseline (see harness.Options.OnRuntime). The live
 	// diagnostics server uses it to follow the evaluation from run to run.
 	OnRuntime func(*core.Runtime)
 	// OnResult, when non-nil, receives every detection run's result right

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"predator/internal/resilience"
 )
 
 // newTestServer stands up a store-backed server on httptest, token "s3cret"
@@ -308,32 +310,6 @@ func TestServerHotLinesAggregation(t *testing.T) {
 	}
 }
 
-func TestServerTraceIngest(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	// Garbage bytes are accepted (the agent's trace may be damaged — that is
-	// exactly what the salvage accounting is for), with zero decodable events.
-	code, body, _ := do(t, http.MethodPost,
-		ts.URL+"/api/v1/ingest/trace?project=db&run=r1&agent=a1", "s3cret",
-		[]byte("not a trace segment at all"))
-	if code != http.StatusOK {
-		t.Fatalf("trace ingest = %d (%s)", code, body)
-	}
-	var ack ingestAck
-	if err := json.Unmarshal(body, &ack); err != nil || ack.Events != 0 {
-		t.Fatalf("trace ack = %+v, %v", ack, err)
-	}
-	if code, _, _ := do(t, http.MethodPost, ts.URL+"/api/v1/ingest/trace", "s3cret", []byte("x")); code != http.StatusBadRequest {
-		t.Fatalf("trace without project = %d, want 400", code)
-	}
-
-	code, body, _ = do(t, http.MethodGet, ts.URL+"/api/v1/projects", "s3cret", nil)
-	var pr ProjectsResponse
-	if code != http.StatusOK || json.Unmarshal(body, &pr) != nil ||
-		pr.Count != 1 || pr.Projects[0].Traces != 1 {
-		t.Fatalf("projects after trace = %d %+v", code, pr)
-	}
-}
-
 func TestServerHealth(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	postRun(t, ts.URL, "s3cret", mkRun("r1", "db", "mysql"), http.StatusCreated)
@@ -347,5 +323,43 @@ func TestServerHealth(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Tool != "predfleet" || h.Appends != 1 {
 		t.Fatalf("health = %+v", h)
+	}
+}
+
+// panicWriter panics on every segment write.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("disk sink exploded") }
+
+// TestServerIngestPanicQuarantines: an ingest endpoint that panics answers
+// 500 and counts the request as rejected; past the panic budget it answers
+// 503 and /healthz lists it, while the query endpoints keep serving.
+func TestServerIngestPanicQuarantines(t *testing.T) {
+	store, err := OpenStore(StoreConfig{Dir: t.TempDir(), NoSync: true,
+		WrapWriter: func(io.Writer) io.Writer { return panicWriter{} }})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+	_, ts := newTestServer(t, func(cfg *ServerConfig) { cfg.Store = store })
+
+	for i := 0; i < resilience.DefaultPanicLimit; i++ {
+		postRun(t, ts.URL, "s3cret", mkRun(fmt.Sprintf("r%d", i), "db", "mysql"), http.StatusInternalServerError)
+	}
+	postRun(t, ts.URL, "s3cret", mkRun("late", "db", "mysql"), http.StatusServiceUnavailable)
+
+	_, body, _ := do(t, http.MethodGet, ts.URL+"/metrics", "", nil)
+	if want := fmt.Sprintf("\npredfleet_ingest_errors_total %d\n", resilience.DefaultPanicLimit); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+	}
+	var h Health
+	if code, body, _ := do(t, http.MethodGet, ts.URL+"/healthz", "", nil); code != http.StatusOK || json.Unmarshal(body, &h) != nil {
+		t.Fatalf("/healthz = %d (%s)", code, body)
+	}
+	if len(h.Quarantined) != 1 || h.Quarantined[0] != "/api/v1/ingest/findings" {
+		t.Errorf("quarantined = %v, want [/api/v1/ingest/findings]", h.Quarantined)
+	}
+	if code, _, _ := do(t, http.MethodGet, ts.URL+"/api/v1/projects", "s3cret", nil); code != http.StatusOK {
+		t.Errorf("/api/v1/projects = %d, want 200", code)
 	}
 }

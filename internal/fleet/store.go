@@ -65,7 +65,7 @@ type StoreConfig struct {
 	// (0 = DefaultSegmentBytes).
 	SegmentBytes int64
 	// NoSync disables the fsync after every findings append. Metrics and
-	// trace appends are never individually synced; findings are, unless
+	// spans appends are never individually synced; findings are, unless
 	// this is set (tests, or operators preferring throughput).
 	NoSync bool
 	// MaxLineBytes bounds how long a stored line may be before the salvage
@@ -102,7 +102,7 @@ type RecoveryStats struct {
 	CorruptLines   uint64 `json:"corrupt_lines,omitempty"`   // unparseable JSON or CRC mismatch
 	TruncatedTails uint64 `json:"truncated_tails,omitempty"` // segments ending mid-line
 	DuplicateRuns  uint64 `json:"duplicate_runs,omitempty"`  // replayed run IDs skipped
-	UnknownTypes   uint64 `json:"unknown_types,omitempty"`
+	UnknownTypes   uint64 `json:"unknown_types,omitempty"`   // intact records of a type this build skips
 }
 
 // Clean reports whether recovery found nothing to complain about.
@@ -123,7 +123,6 @@ type projectIndex struct {
 	// metrics holds the latest metrics payload per agent, stamped with the
 	// server-side receive time so staleness survives agent clock skew.
 	metrics map[string]*agentMetrics
-	traces  []TraceMeta
 	// spanDocs holds ingested span snapshots in arrival order; the two maps
 	// index the same entries by run ID and by trace ID so the waterfall view
 	// resolves either form of reference (a finding's run, a span's trace).
@@ -265,16 +264,24 @@ func (s *Store) scanSegment(path string) error {
 			s.recovery.CorruptLines++
 			continue
 		}
-		switch s.apply(&env) {
-		case nil:
+		switch err := s.apply(&env); {
+		case err == nil:
 			s.recovery.Records++
-		case ErrDuplicateRun:
+		case errors.Is(err, ErrDuplicateRun):
 			s.recovery.DuplicateRuns++
+		case errors.Is(err, errUnknownType):
+			// Intact, but of a type this build does not apply (an older
+			// predfleet's raw trace upload, say): skipped, not corrupt.
+			s.recovery.UnknownTypes++
 		default:
 			s.recovery.CorruptLines++
 		}
 	}
 }
+
+// errUnknownType marks an envelope whose record type this build does not
+// apply.
+var errUnknownType = errors.New("fleet: unknown record type")
 
 // errLineTooLong marks a line exceeding MaxLineBytes.
 var errLineTooLong = errors.New("fleet: line exceeds MaxLineBytes")
@@ -400,14 +407,6 @@ func (s *Store) apply(env *Envelope) error {
 			s.cfg.Observer.ObserveMetrics(env.Tenant, &mp, env.UnixMs)
 		}
 		return nil
-	case TypeTrace:
-		var tp TracePayload
-		if err := json.Unmarshal(env.Payload, &tp); err != nil {
-			return err
-		}
-		tp.Meta.Project = env.Project
-		p.traces = append(p.traces, tp.Meta)
-		return nil
 	case TypeSpans:
 		var sp SpansPayload
 		if err := json.Unmarshal(env.Payload, &sp); err != nil {
@@ -433,7 +432,7 @@ func (s *Store) apply(env *Envelope) error {
 		p.spansByTrace[sp.TraceID] = &sp
 		return nil
 	default:
-		return fmt.Errorf("fleet: unknown record type %q", env.Type)
+		return fmt.Errorf("%w %q", errUnknownType, env.Type)
 	}
 }
 
@@ -621,24 +620,6 @@ func (s *Store) AppendMetrics(tenant string, mp *MetricsPayload) error {
 	return s.apply(env)
 }
 
-// AppendTrace ingests one raw trace segment with its salvage accounting.
-func (s *Store) AppendTrace(tenant string, tp *TracePayload) error {
-	payload, err := json.Marshal(tp)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tp.Meta.Project == "" {
-		return fmt.Errorf("fleet: trace without a project")
-	}
-	env := s.envelope(TypeTrace, tenant, tp.Meta.Project, tp.Meta.Agent, tp.Meta.Run, payload)
-	if err := s.appendLocked(env, false); err != nil {
-		return err
-	}
-	return s.apply(env)
-}
-
 // AppendSpans ingests one run's span snapshot (not individually fsynced:
 // like metrics, spans are observability sidecars, and the agent keeps its
 // own copy via -spans-out).
@@ -714,7 +695,6 @@ type ProjectInfo struct {
 	Runs       int    `json:"runs"`
 	Findings   int    `json:"findings"`
 	Agents     int    `json:"agents"`
-	Traces     int    `json:"traces"`
 	SpanTraces int    `json:"span_traces,omitempty"`
 	LastUnixMs int64  `json:"last_unix_ms,omitempty"`
 }
@@ -733,7 +713,6 @@ func (s *Store) Projects(tenant string) []ProjectInfo {
 			Project:    p.name,
 			Runs:       len(p.runs),
 			Agents:     len(p.metrics),
-			Traces:     len(p.traces),
 			SpanTraces: len(p.spanDocs),
 		}
 		for _, r := range p.runs {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -39,16 +40,11 @@ func TestStoreRoundtripAndRecovery(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("AppendMetrics: %v", err)
 	}
-	if err := s.AppendTrace("acme", &TracePayload{
-		Meta: TraceMeta{Project: "db", Run: "r1", Bytes: 3}, Data: []byte{1, 2, 3},
-	}); err != nil {
-		t.Fatalf("AppendTrace: %v", err)
-	}
 
 	// Index queries against the live store.
 	projects := s.Projects("acme")
 	if len(projects) != 1 || projects[0].Project != "db" || projects[0].Runs != 2 ||
-		projects[0].Findings != 3 || projects[0].Agents != 1 || projects[0].Traces != 1 {
+		projects[0].Findings != 3 || projects[0].Agents != 1 {
 		t.Fatalf("Projects = %+v", projects)
 	}
 	runs := s.Runs("acme", "db", 0)
@@ -79,8 +75,8 @@ func TestStoreRoundtripAndRecovery(t *testing.T) {
 	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	rec := s2.Recovery()
-	if !rec.Clean() || rec.Records != 4 {
-		t.Fatalf("recovery = %+v, want 4 clean records", rec)
+	if !rec.Clean() || rec.Records != 3 {
+		t.Fatalf("recovery = %+v, want 3 clean records", rec)
 	}
 	if runs := s2.Runs("acme", "db", 0); len(runs) != 2 || runs[0].ID != "r2" {
 		t.Fatalf("recovered Runs = %+v", runs)
@@ -173,6 +169,48 @@ func TestStoreSalvageSkipsDamage(t *testing.T) {
 	runs := s2.Runs("acme", "db", 0)
 	if len(runs) != 2 || runs[0].ID != "r3" || runs[1].ID != "r1" {
 		t.Fatalf("salvaged runs = %+v, want r3,r1 (r2 corrupt)", runs)
+	}
+}
+
+// TestStoreSkipsUnknownRecordTypes: intact envelopes of a type this build
+// does not apply — a made-up one, and the raw trace uploads older predfleets
+// stored — are counted as unknown types, not as corrupt lines, and the
+// records beside them still load.
+func TestStoreSkipsUnknownRecordTypes(t *testing.T) {
+	dir := t.TempDir()
+	findings, err := json.Marshal(mkRun("r1", "db", "mysql", finding("counter", "false sharing", "observed", 500)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for _, rec := range []struct {
+		typ     string
+		payload []byte
+	}{
+		{"bogus", []byte(`{"anything":1}`)},
+		{"trace", []byte(`{"meta":{"project":"db","run":"r1","bytes":3,"events":0},"data":"AQID"}`)},
+		{TypeFindings, findings},
+	} {
+		line, err := json.Marshal(&Envelope{
+			V: EnvelopeVersion, Type: rec.typ, Tenant: "acme", Project: "db", Run: "r1",
+			CRC: PayloadCRC(rec.payload), Payload: rec.payload,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = append(append(seg, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTestStore(t, dir)
+	defer s.Close()
+	if rec := s.Recovery(); rec.Records != 1 || rec.CorruptLines != 0 || rec.UnknownTypes != 2 {
+		t.Fatalf("recovery = %+v, want 1 record, 0 corrupt, 2 unknown types", rec)
+	}
+	if e, err := s.Run("acme", "db", "r1"); err != nil || e.Counts.Findings != 1 {
+		t.Fatalf("findings run beside the unknown records = %+v, %v", e, err)
 	}
 }
 

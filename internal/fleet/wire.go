@@ -1,6 +1,6 @@
 // Package fleet is the server side of PREDATOR's fleet mode: many detector
 // agents (predator, predbench, predreplay) stream findings, metric
-// snapshots, and trace segments to one central predfleet service, which
+// snapshots, and span traces to one central predfleet service, which
 // persists them in an append-only store, indexes them per tenant and
 // project, and answers fleet-wide queries — run history, regression diffs
 // between runs, and an aggregated hottest-lines view.
@@ -27,7 +27,6 @@ import (
 const (
 	TypeFindings = "findings"
 	TypeMetrics  = "metrics"
-	TypeTrace    = "trace"
 	TypeSpans    = "spans"
 )
 
@@ -133,27 +132,6 @@ type HotLine struct {
 	Project string `json:"project,omitempty"`
 	Agent   string `json:"agent,omitempty"`
 	Trace   string `json:"trace,omitempty"`
-}
-
-// TraceMeta is the accounting the server keeps for an ingested trace
-// segment (the raw bytes live in the store payload, base64-framed by
-// encoding/json).
-type TraceMeta struct {
-	Project string `json:"project"`
-	Run     string `json:"run,omitempty"`
-	Agent   string `json:"agent,omitempty"`
-	Bytes   int64  `json:"bytes"`
-	// Events/CorruptRegions come from running the trace salvage reader over
-	// the uploaded bytes at ingestion time: the segment is untrusted input.
-	Events         uint64 `json:"events"`
-	CorruptRegions uint64 `json:"corrupt_regions,omitempty"`
-	TruncatedTail  bool   `json:"truncated_tail,omitempty"`
-}
-
-// TracePayload is the stored form of an uploaded trace segment.
-type TracePayload struct {
-	Meta TraceMeta `json:"meta"`
-	Data []byte    `json:"data"`
 }
 
 // SpansPayload is the body of POST /api/v1/ingest/spans: one run's finished

@@ -249,8 +249,10 @@ type Options struct {
 	Strict *bool
 	// OnRuntime, when non-nil, receives the detection runtime right after
 	// construction, before the workload runs. The live diagnostics server
-	// uses it to attach the runtime as its scrape source; it is never
-	// called in ModeNative (no runtime exists).
+	// uses it to attach the runtime as its scrape source. It may receive
+	// nil, also in ModeNative (where no runtime exists): with MeasureMemory
+	// it gets nil before the baseline is taken, so a runtime the hook kept
+	// from an earlier run does not count into this run's memory.
 	OnRuntime func(*core.Runtime)
 	// Elide, when non-nil, is a predlint elision manifest: accesses to
 	// objects the static prover showed cannot contribute invalidations are
@@ -388,6 +390,9 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 
 	var memBefore uint64
 	if opts.MeasureMemory {
+		if opts.OnRuntime != nil {
+			opts.OnRuntime(nil)
+		}
 		memBefore = goHeapBytes()
 	}
 

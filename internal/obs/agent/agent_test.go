@@ -111,28 +111,34 @@ func TestConcurrentFlushes(t *testing.T) {
 // fleet read the last runtime, so a session without them keeps none. A kept
 // runtime stays reachable into the next workload's memory baseline, and
 // Figure 8 then charges every workload after the first one runtime too few.
+// A session with a reader gets nil before each baseline and still has the
+// last runtime to dump when the run finishes.
 func TestNoRuntimeKeptWithoutReader(t *testing.T) {
 	dir := t.TempDir()
-	s := startSession(t, Config{Tool: "agenttest"},
-		"-metrics-out", filepath.Join(dir, "metrics.prom"), "-events-out", filepath.Join(dir, "events.jsonl"),
-		"-spans-out", filepath.Join(dir, "spans.json"))
-	defer s.stopInt()
-	cfg := eval.Default()
-	cfg.Repeats = 1
-	cfg.Observer, cfg.Span, cfg.OnRuntime = s.Observer, s.Span, s.OnRuntime
-	rows, err := eval.Figure8(cfg, []string{"histogram", "word_count"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.PredatorBytes <= r.OriginalBytes {
-			t.Errorf("%s: PREDATOR memory (%d) not above Original (%d)", r.Workload, r.PredatorBytes, r.OriginalBytes)
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for _, args := range [][]string{
+		{"-metrics-out", path("metrics.prom"), "-events-out", path("events.jsonl"), "-spans-out", path("spans.json")},
+		{"-timeline-out", path("timeline.json")},
+	} {
+		s := startSession(t, Config{Tool: "agenttest"}, args...)
+		cfg := eval.Default()
+		cfg.Repeats = 1
+		cfg.Observer, cfg.Span, cfg.OnRuntime = s.Observer, s.Span, s.OnRuntime
+		rows, err := eval.Figure8(cfg, []string{"histogram", "word_count"})
+		if err != nil {
+			s.stopInt()
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.PredatorBytes <= r.OriginalBytes {
+				t.Errorf("%s %s: PREDATOR memory (%d) not above Original (%d)", args[0], r.Workload, r.PredatorBytes, r.OriginalBytes)
+			}
+		}
+		if err := s.Finish(nil, nil); err != nil {
+			t.Errorf("%s: Finish = %v", args[0], err)
 		}
 	}
-
-	timeline := startSession(t, Config{Tool: "agenttest"}, "-timeline-out", filepath.Join(dir, "timeline.json"))
-	defer timeline.stopInt()
-	if timeline.OnRuntime == nil {
-		t.Error("-timeline-out session keeps no runtime to dump")
+	if fi, err := os.Stat(path("timeline.json")); err != nil || fi.Size() == 0 {
+		t.Errorf("-timeline-out session wrote no timeline at Finish (%v)", err)
 	}
 }

@@ -1,17 +1,14 @@
 package diag_test
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"predator/internal/core"
 	"predator/internal/mem"
@@ -344,38 +341,6 @@ func TestConcurrentScrapeDuringDetection(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestStartShutdownOnContextCancel(t *testing.T) {
-	s, rt, h := newDetectingServer(t)
-	drive(t, rt, h, 100)
-	ctx, cancel := context.WithCancel(context.Background())
-	addr, err := s.Start(ctx, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatalf("server not serving: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz status = %d", resp.StatusCode)
-	}
-
-	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
-		if err != nil {
-			break // listener closed: graceful shutdown completed
-		}
-		conn.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("server still accepting connections after context cancel")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // panicSource panics on every scrape.

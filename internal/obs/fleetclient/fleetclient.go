@@ -1,5 +1,5 @@
 // Package fleetclient is the agent side of fleet mode: a bounded, buffered
-// exporter that streams findings, metric snapshots, and trace segments from
+// exporter that streams findings, metric snapshots, and span traces from
 // a detector process to a predfleet service. The design goals mirror the
 // rest of the observability layer — the detector must never block or die
 // because telemetry is struggling:
@@ -7,6 +7,7 @@
 //   - Bounded buffering: Send* never blocks; when the queue is full the
 //     payload is dropped and counted.
 //   - Retry with jittered exponential backoff, honoring 429 Retry-After.
+//     A payload the server rejects outright is neither retried nor spooled.
 //   - Graceful degradation: after the retry budget, payloads spill to a
 //     local JSONL spool file; the next successful delivery replays the
 //     spool, so a server outage delays telemetry instead of losing it.
@@ -16,6 +17,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -76,18 +78,17 @@ type Stats struct {
 	Dropped  uint64 // payloads lost to a full queue
 	Spooled  uint64 // payloads written to the local spool
 	Replayed uint64 // spooled payloads later delivered
-	Failures uint64 // payloads that exhausted retries with no spool
+	Failures uint64 // payloads rejected by the server, or that exhausted retries with no spool
 }
 
 // item is one queued delivery.
 type item struct {
-	Type  string `json:"type"`            // fleet.Type*
-	Query string `json:"query,omitempty"` // raw query string (trace)
-	Body  []byte `json:"body"`            // request body
+	Type string `json:"type"` // fleet.Type*
+	Body []byte `json:"body"` // request body
 }
 
 // Client streams payloads to one predfleet service. Construct with New,
-// send with SendFindings/SendMetrics/SendTrace, and Close to drain.
+// send with SendFindings/SendMetrics/SendSpans, and Close to drain.
 type Client struct {
 	cfg   Config
 	base  string
@@ -231,17 +232,6 @@ func (c *Client) SendSpans(sp *fleet.SpansPayload) error {
 	return c.enqueue(item{Type: fleet.TypeSpans, Body: body})
 }
 
-// SendTrace enqueues one raw trace segment for the given run.
-func (c *Client) SendTrace(run string, data []byte) error {
-	q := url.Values{}
-	q.Set("project", c.cfg.Project)
-	q.Set("agent", c.cfg.Agent)
-	if run != "" {
-		q.Set("run", run)
-	}
-	return c.enqueue(item{Type: fleet.TypeTrace, Query: q.Encode(), Body: data})
-}
-
 // ErrClosed reports a send after Close.
 var ErrClosed = fmt.Errorf("fleetclient: closed")
 
@@ -325,18 +315,10 @@ func (c *Client) senderLoop() {
 	}
 }
 
-// urlFor builds the ingestion URL for an item.
-func (c *Client) urlFor(it *item) string {
-	u := c.base + "/api/v1/ingest/" + it.Type
-	if it.Query != "" {
-		u += "?" + it.Query
-	}
-	return u
-}
-
 // deliver posts one item with retries; on exhaustion it spools (when
-// enabled and spool is true) or counts a failure. A successful delivery
-// triggers a spool replay: the server is back.
+// enabled and spool is true) or counts a failure. A rejected payload is
+// counted as a failure at once: the server is up and will never accept it.
+// A successful delivery triggers a spool replay: the server is back.
 func (c *Client) deliver(it item, attempts int, spool bool) bool {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -357,6 +339,13 @@ func (c *Client) deliver(it item, attempts int, spool bool) bool {
 				c.replaySpool()
 			}
 			return true
+		}
+		if errors.Is(err, errRejected) {
+			c.logf("%v; payload dropped", err)
+			c.mu.Lock()
+			c.stats.Failures++
+			c.mu.Unlock()
+			return false
 		}
 		lastErr = err
 		delay := c.backoff(attempt)
@@ -392,18 +381,20 @@ func (c *Client) deliver(it item, attempts int, spool bool) bool {
 	return false
 }
 
+// errRejected marks a status predfleet answers a payload it will never
+// accept: malformed (400), unknown type (404), not a POST (405) or too large
+// (413). Retrying or spooling such a payload cannot deliver it.
+var errRejected = errors.New("fleetclient: payload rejected")
+
 // post performs one HTTP attempt. A 429 returns the server's Retry-After
-// as a positive duration alongside the error.
+// as a positive duration alongside the error; a final status returns an
+// error wrapping errRejected.
 func (c *Client) post(it *item) (retryAfter time.Duration, err error) {
-	ctype := "application/json"
-	if it.Type == fleet.TypeTrace {
-		ctype = "application/octet-stream"
-	}
-	req, err := http.NewRequest(http.MethodPost, c.urlFor(it), bytes.NewReader(it.Body))
+	req, err := http.NewRequest(http.MethodPost, c.base+"/api/v1/ingest/"+it.Type, bytes.NewReader(it.Body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Content-Type", "application/json")
 	if c.cfg.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.cfg.Token)
 	}
@@ -421,6 +412,9 @@ func (c *Client) post(it *item) (retryAfter time.Duration, err error) {
 			retryAfter = time.Duration(secs) * time.Second
 		}
 		return retryAfter, fmt.Errorf("fleetclient: rate limited (429)")
+	case resp.StatusCode == http.StatusBadRequest, resp.StatusCode == http.StatusNotFound,
+		resp.StatusCode == http.StatusMethodNotAllowed, resp.StatusCode == http.StatusRequestEntityTooLarge:
+		return 0, fmt.Errorf("%w: %s: %s", errRejected, it.Type, resp.Status)
 	default:
 		return 0, fmt.Errorf("fleetclient: %s: %s", it.Type, resp.Status)
 	}
@@ -448,9 +442,8 @@ func (c *Client) logf(format string, args ...any) {
 
 // spooled is the spool file's line schema.
 type spooled struct {
-	Type  string `json:"type"`
-	Query string `json:"query,omitempty"`
-	Body  string `json:"body"` // base64
+	Type string `json:"type"`
+	Body string `json:"body"` // base64
 }
 
 // spool appends one undeliverable item to the local spool file.
@@ -461,7 +454,7 @@ func (c *Client) spool(it item) error {
 	}
 	defer f.Close()
 	line, err := json.Marshal(spooled{
-		Type: it.Type, Query: it.Query, Body: base64.StdEncoding.EncodeToString(it.Body),
+		Type: it.Type, Body: base64.StdEncoding.EncodeToString(it.Body),
 	})
 	if err != nil {
 		return err
@@ -503,7 +496,7 @@ func (c *Client) replaySpool() {
 		}
 		// Single attempt, re-spool on failure: if the server flapped back
 		// down, the backlog returns to disk instead of vanishing.
-		if c.deliver(item{Type: sp.Type, Query: sp.Query, Body: body}, 1, true) {
+		if c.deliver(item{Type: sp.Type, Body: body}, 1, true) {
 			replayed++
 		}
 	}

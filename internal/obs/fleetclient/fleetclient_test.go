@@ -252,6 +252,72 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestClientRejectedPayloadIsFinal: a status the server answers a payload it
+// will never accept (413 here) is not an outage. The payload is posted once,
+// counted as a failure and logged with its status; it is not spooled, the
+// client does not degrade, and later deliveries do not replay it.
+func TestClientRejectedPayloadIsFinal(t *testing.T) {
+	var mu sync.Mutex
+	posts := map[string]int{} // by ingest type and findings run ID
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var fp fleet.FindingsPayload
+		_ = json.Unmarshal(body, &fp)
+		mu.Lock()
+		posts[filepath.Base(r.URL.Path)+":"+fp.Run.ID]++
+		mu.Unlock()
+		if fp.Run.ID == "huge" {
+			http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	spool := filepath.Join(t.TempDir(), "fleet.spool")
+	var logMu sync.Mutex
+	var logs []string
+	c, err := New(Config{
+		Addr: ts.URL, Project: "db", Sleep: noSleep, SpoolPath: spool, Seed: 1,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := c.SendFindings(&fleet.FindingsPayload{Run: fleet.RunMeta{ID: "huge"}}); err != nil {
+		t.Fatalf("SendFindings: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := c.SendMetrics(&fleet.MetricsPayload{}); err != nil {
+			t.Fatalf("SendMetrics %d: %v", i, err)
+		}
+	}
+	if err := c.Close(); err == nil || !strings.Contains(err.Error(), "1 undelivered") {
+		t.Errorf("Close = %v, want the rejected payload counted undelivered", err)
+	}
+
+	mu.Lock()
+	hugePosts, metricsPosts := posts["findings:huge"], posts["metrics:"]
+	mu.Unlock()
+	if hugePosts != 1 || metricsPosts != 6 {
+		t.Errorf("POSTs: %d of the rejected payload, %d metrics; want 1 and 6", hugePosts, metricsPosts)
+	}
+	if st := c.Stats(); st.Sent != 6 || st.Failures != 1 || st.Spooled != 0 || st.Retries != 0 || st.Replayed != 0 {
+		t.Errorf("stats = %+v, want 6 sent, 1 failure, nothing retried, spooled or replayed", st)
+	}
+	if _, err := os.Stat(spool); !os.IsNotExist(err) {
+		t.Errorf("spool file written for a rejected payload (err=%v)", err)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], "413") || strings.Contains(logs[0], "unreachable") {
+		t.Errorf("logs = %q, want one notice naming the 413 and no outage", logs)
+	}
+}
+
 func TestClientQueueFullDrops(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
