@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"sync"
 )
 
@@ -36,18 +35,26 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The writers hand one turn token back and forth every 16 stores, so
+	// their stores interleave however the host schedules them.
+	const stores, batch = 50000, 16
+	turn := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
 	var wg sync.WaitGroup
 	for i, t := range []*predator.Thread{d.Thread("even"), d.Thread("odd")} {
 		wg.Add(1)
-		go func(t *predator.Thread, word uint64) {
+		go func(i int, t *predator.Thread, word uint64) {
 			defer wg.Done()
-			for n := 0; n < 50000; n++ {
+			for n := 0; n < stores; n++ {
+				if n%batch == 0 {
+					<-turn[i]
+				}
 				t.Store64(word, uint64(n))
-				if n%64 == 63 {
-					runtime.Gosched() // keep goroutines interleaving on single-CPU hosts
+				if n%batch == batch-1 || n == stores-1 {
+					turn[1-i] <- struct{}{}
 				}
 			}
-		}(t, block+uint64(i)*64)
+		}(i, t, block+uint64(i)*64)
 	}
 	wg.Wait()
 

@@ -93,8 +93,8 @@ func (rt *Runtime) snapshotLine(line uint64, t *detect.Track) LineSnapshot {
 // HotLines returns snapshots of the n tracked cache lines with the most
 // invalidations (ties broken by accesses, then by line index), hottest
 // first. n <= 0 returns every tracked line. The traversal is lock-free over
-// the shadow array and per-line state is read atomically, so HotLines is
-// safe to call concurrently with a live detection run.
+// the installed shadow chunks and per-line state is read atomically, so
+// HotLines is safe to call concurrently with a live detection run.
 func (rt *Runtime) HotLines(n int) []LineSnapshot {
 	type cand struct {
 		line uint64

@@ -161,9 +161,11 @@ type Runtime struct {
 	sh      *shadow.Memory[detect.Track]
 	sampler detect.Sampler
 
-	vreg          *predict.Registry
-	vactive       atomic.Bool     // fast-path gate: any virtual lines registered?
-	predictedBits []atomic.Uint32 // one bit per line: hot-pair search already ran
+	vreg    *predict.Registry
+	vactive atomic.Bool // fast-path gate: any virtual lines registered?
+	// predlint padcheck: vactive is read on every access, so SetSpan's
+	// stores to spanParent go on the next cache line.
+	_ [60]byte
 
 	// Span tracing: parent is the enclosing pipeline span detector-phase
 	// spans (predict.search, report.collect) nest under. The harness swaps
@@ -239,14 +241,13 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 	}
 	sampler := detect.Sampler{Window: cfg.SampleWindow, Burst: cfg.SampleBurst}
 	rt := &Runtime{
-		cfg:           cfg,
-		heap:          h,
-		geom:          geom,
-		mapping:       mapping,
-		sh:            shadow.NewMemory[detect.Track](mapping),
-		sampler:       sampler,
-		vreg:          predict.NewRegistry(geom, sampler),
-		predictedBits: make([]atomic.Uint32, (mapping.Lines()+31)/32),
+		cfg:     cfg,
+		heap:    h,
+		geom:    geom,
+		mapping: mapping,
+		sh:      shadow.NewMemory[detect.Track](mapping),
+		sampler: sampler,
+		vreg:    predict.NewRegistry(geom, sampler),
 	}
 	if cfg.MaxTrackedLines > 0 {
 		rt.trackBudget = resilience.NewBudget(cfg.MaxTrackedLines)
@@ -367,10 +368,16 @@ func (rt *Runtime) dispatch(tid int, addr, size uint64, isWrite bool) {
 
 // handleLine applies one access to one covered line.
 func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite bool) {
-	track := rt.sh.Track(line)
+	// One chunk lookup reads both the line's track and its write count; a
+	// nil slot is a line nothing in its chunk has written yet.
+	slot := rt.sh.Lookup(line)
+	var track *detect.Track
+	if slot != nil {
+		track = slot.Track()
+	}
 	if track == nil {
 		// Pre-tracking phase: count writes only (§2.4.1).
-		if rt.sh.Writes(line) < rt.cfg.TrackingThreshold {
+		if slot == nil || slot.Writes() < rt.cfg.TrackingThreshold {
 			if !isWrite {
 				return
 			}
@@ -394,7 +401,7 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 	}
 	if rt.cfg.Prediction && isWrite &&
 		track.Writes() >= rt.cfg.PredictionThreshold &&
-		rt.markPredicted(line) {
+		track.ClaimSearch() {
 		rt.runPrediction(line, track)
 	}
 }
@@ -505,22 +512,6 @@ func (rt *Runtime) noteDegraded(line uint64, phase string) {
 	if rt.obs.Tracing() {
 		rt.obs.Emit(obs.Event{Type: obs.EvDegradation, Phase: phase, Line: line,
 			Addr: rt.mapping.LineBase(line), Count: uint64(n)})
-	}
-}
-
-// markPredicted sets the line's prediction-done bit; it returns true only
-// for the caller that flipped the bit.
-func (rt *Runtime) markPredicted(line uint64) bool {
-	word := &rt.predictedBits[line/32]
-	bit := uint32(1) << (line % 32)
-	for {
-		old := word.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if word.CompareAndSwap(old, old|bit) {
-			return true
-		}
 	}
 }
 
@@ -835,10 +826,10 @@ func (rt *Runtime) Stats() Stats {
 	s := Stats{
 		Accesses:     rt.totalAccesses.Load(),
 		Writes:       rt.totalWrites.Load(),
-		TrackedLines: len(rt.sh.TrackedLines()),
 		VirtualLines: len(rt.vreg.Tracks()),
 	}
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) {
+		s.TrackedLines++
 		s.Invalidations += t.Invalidations()
 		s.SampledAccesses += t.Recorded()
 	})

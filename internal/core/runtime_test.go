@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"predator/internal/mem"
+	"predator/internal/obs"
 	"predator/internal/report"
 )
 
@@ -249,6 +251,39 @@ func TestFreeResetsMetadata(t *testing.T) {
 	}
 }
 
+// A freed line keeps its hot-pair search claim: written past
+// PredictionThreshold again, it is not searched a second time.
+func TestFreedLineNotSearchedAgain(t *testing.T) {
+	cfg := testConfig()
+	cfg.Observer = obs.New(obs.NewRegistry(), nil)
+	rt, h := newRuntime(t, cfg)
+	addr, _ := h.AllocWithOffset(0, 64, 0, 0)
+	line, _ := rt.mapping.Index(addr)
+	writePast := func() {
+		for i := uint64(0); i < cfg.TrackingThreshold+cfg.PredictionThreshold; i++ {
+			rt.HandleAccess(1, addr, 8, true)
+		}
+	}
+	writePast()
+	if n := rt.predictH.Count(); n != 1 {
+		t.Fatalf("%d hot-pair searches before the free, want 1", n)
+	}
+	if err := h.Free(addr); err != nil {
+		t.Fatal(err)
+	}
+	track := rt.sh.Track(line)
+	if track == nil || track.Writes() != 0 {
+		t.Fatal("free did not reset the line's track")
+	}
+	writePast()
+	if track.Writes() < cfg.PredictionThreshold {
+		t.Fatalf("line rewritten only %d times", track.Writes())
+	}
+	if n := rt.predictH.Count(); n != 1 {
+		t.Errorf("%d hot-pair searches after the line was freed and rewritten, want 1", n)
+	}
+}
+
 func TestFlaggedObjectQuarantinedAfterReport(t *testing.T) {
 	rt, h := newRuntime(t, testConfig())
 	addr, _ := h.AllocWithOffset(0, 64, 0, 0)
@@ -397,6 +432,26 @@ func TestDefaultConfig(t *testing.T) {
 		!cfg.Prediction {
 		t.Errorf("DefaultConfig = %+v", cfg)
 	}
+}
+
+// NewRuntime sizes nothing to the heap but the shadow chunk directory:
+// per-line state is allocated as lines are written.
+func TestNewRuntimeAllocatesLittle(t *testing.T) {
+	h, err := mem.NewHeap(mem.Config{Size: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := NewRuntime(h, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+		t.Errorf("NewRuntime over a 64 MiB heap allocated %d bytes, want <= %d", d, 64<<10)
+	}
+	runtime.KeepAlive(rt)
 }
 
 func BenchmarkHandleAccessCold(b *testing.B) {

@@ -193,6 +193,10 @@ type Track struct {
 	frozen   atomic.Pointer[[]WordSnapshot]
 	degraded atomic.Bool
 
+	// searched marks that the line's §3.3 hot-pair search has run (see
+	// ClaimSearch). Reset leaves it set.
+	searched atomic.Bool
+
 	// Flight recorder (nil when flight recording is disabled; armed before
 	// publication only). reportThreshold is set before publication too, so
 	// the hot path reads both without synchronization beyond the track's own
@@ -413,6 +417,14 @@ func (t *Track) Degrade() {
 // Degraded reports whether the track is in invalidation-counting-only mode.
 func (t *Track) Degraded() bool { return t.degraded.Load() }
 
+// ClaimSearch claims the line's one §3.3 hot-pair search: it returns true
+// only for the first caller. The load before the CAS keeps every later
+// caller off the locked instruction. The claim survives Reset, so a freed
+// and reused line is not searched again.
+func (t *Track) ClaimSearch() bool {
+	return !t.searched.Load() && t.searched.CompareAndSwap(false, true)
+}
+
 // ArmFlight attaches a flight recorder to the track. Must be called before
 // the track is published (installation time — the TrackingThreshold
 // crossing), never on a live track.
@@ -580,9 +592,10 @@ func (t *Track) HotWords() []WordSnapshot {
 	return out
 }
 
-// Reset clears all tracking state (object freed and recycled). The unpushed
-// tail of the recorded-access counter is flushed first, and the push cursor
-// restarts with the recorded count so the registry keeps its lifetime total.
+// Reset clears all tracking state (object freed and recycled) except the
+// hot-pair search claim and degradation. The unpushed tail of the
+// recorded-access counter is flushed first, and the push cursor restarts
+// with the recorded count so the registry keeps its lifetime total.
 func (t *Track) Reset() {
 	t.FlushMetrics()
 	t.hist.Reset()

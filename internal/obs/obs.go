@@ -214,22 +214,24 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-// lookup finds or creates a named metric slot. Caller must not hold r.mu.
-func (r *Registry) lookup(name, help string, kind Kind) *metric {
+// lookup finds or creates a named metric slot and applies set to it under
+// r.mu, so concurrent first registrations of a name share one instrument
+// and a renderer never reads a slot mid-update. Caller must not hold r.mu.
+func (r *Registry) lookup(name, help string, kind Kind, set func(*metric)) *metric {
 	if !validName.MatchString(name) {
 		panic("obs: invalid metric name " + name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %v (was %v)", name, kind, m.kind))
-		}
-		return m
+	m, ok := r.byName[name]
+	if !ok {
+		m = &metric{name: name, help: help, kind: kind}
+		r.metrics = append(r.metrics, m)
+		r.byName[name] = m
+	} else if m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %s re-registered as %v (was %v)", name, kind, m.kind))
 	}
-	m := &metric{name: name, help: help, kind: kind}
-	r.metrics = append(r.metrics, m)
-	r.byName[name] = m
+	set(m)
 	return m
 }
 
@@ -238,11 +240,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindCounter)
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
+	return r.lookup(name, help, KindCounter, func(m *metric) {
+		if m.counter == nil {
+			m.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or fetches) a gauge.
@@ -250,11 +252,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindGauge)
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
+	return r.lookup(name, help, KindGauge, func(m *metric) {
+		if m.gauge == nil {
+			m.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // Histogram registers (or fetches) a histogram with the given upper bucket
@@ -264,13 +266,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, help, KindHistogram)
-	if m.hist == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		m.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	}
-	return m.hist
+	return r.lookup(name, help, KindHistogram, func(m *metric) {
+		if m.hist == nil {
+			b := append([]float64(nil), bounds...)
+			sort.Float64s(b)
+			m.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+		}
+	}).hist
 }
 
 // Info registers an info-style gauge: a constant 1 carrying its payload in
@@ -281,7 +283,6 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge)
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
@@ -296,8 +297,10 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 		b = append(b, '=')
 		b = strconv.AppendQuote(b, labels[k])
 	}
-	m.labels = "{" + string(b) + "}"
-	m.fn = func() float64 { return 1 }
+	r.lookup(name, help, KindGauge, func(m *metric) {
+		m.labels = "{" + string(b) + "}"
+		m.fn = func() float64 { return 1 }
+	})
 }
 
 // GaugeFunc registers a gauge whose value is computed at snapshot time. The
@@ -308,8 +311,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, help, KindGauge)
-	m.fn = fn
+	r.lookup(name, help, KindGauge, func(m *metric) { m.fn = fn })
 }
 
 // Snapshot returns the current value of every scalar metric (counters,

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -73,6 +74,47 @@ func TestRegistryIdempotentAndConflict(t *testing.T) {
 		}
 	}()
 	r.Gauge("predator_x_total", "conflict")
+}
+
+// Goroutines released together register the same names while a renderer
+// runs: each name yields one instrument, and the race detector sees no
+// unsynchronized instrument set-up.
+func TestRegistryConcurrentFirstRegistration(t *testing.T) {
+	r := NewRegistry()
+	const workers = 8
+	counters := make([]*Counter, workers)
+	hists := make([]*Histogram, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			counters[i] = r.Counter("predator_y_total", "")
+			hists[i] = r.Histogram("predator_y_seconds", "", []float64{1})
+			counters[i].Inc()
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		r.Snapshot()
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Error(err)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if counters[i] != counters[0] || hists[i] != hists[0] {
+			t.Fatalf("goroutine %d got its own instrument", i)
+		}
+	}
+	if v := counters[0].Value(); v != workers {
+		t.Errorf("counter = %d, want %d", v, workers)
+	}
 }
 
 func TestRegistryRejectsBadName(t *testing.T) {

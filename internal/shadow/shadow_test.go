@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -144,24 +145,99 @@ func TestConcurrentIncWrites(t *testing.T) {
 	}
 }
 
-func TestForEachTrackedOrder(t *testing.T) {
-	s := NewMemory[fakeTrack](testMapping(t))
-	for _, line := range []uint64{9, 2, 5} {
-		s.InstallTrack(line, &fakeTrack{id: int(line)})
-	}
-	got := s.TrackedLines()
-	want := []uint64{2, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("TrackedLines = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TrackedLines = %v, want %v", got, want)
+// installedChunks counts the chunks present in the directory.
+func installedChunks(s *Memory[fakeTrack]) int {
+	n := 0
+	for i := range s.chunks {
+		if s.chunks[i].Load() != nil {
+			n++
 		}
 	}
-	s.ClearTrack(5)
-	if len(s.TrackedLines()) != 2 {
-		t.Error("ClearTrack did not remove line")
+	return n
+}
+
+// ForEachTracked visits tracked lines in ascending order, across chunk
+// boundaries and up to the last line of a mapping whose line count is not
+// a chunk multiple.
+func TestForEachTrackedOrder(t *testing.T) {
+	const lines = 2*ChunkLines + 100
+	m, err := NewMapping(0x400000000, lines*64, cacheline.MustGeometry(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewMemory[fakeTrack](m)
+	want := []uint64{2, 5, 9, ChunkLines - 1, ChunkLines, 2 * ChunkLines, lines - 1}
+	for _, i := range []int{6, 2, 0, 4, 1, 5, 3} {
+		s.InstallTrack(want[i], &fakeTrack{id: i})
+	}
+	var got []uint64
+	s.ForEachTracked(func(line uint64, _ *fakeTrack) { got = append(got, line) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("ForEachTracked visited %v, want %v", got, want)
+	}
+	if n := installedChunks(s); n != 3 {
+		t.Errorf("%d chunks installed, want 3", n)
+	}
+}
+
+// Reads of a fresh Memory neither allocate nor install a chunk.
+func TestReadsAllocateNothing(t *testing.T) {
+	s := NewMemory[fakeTrack](testMapping(t))
+	last := s.Mapping().Lines() - 1
+	visited := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, line := range []uint64{0, ChunkLines, last} {
+			if s.Lookup(line) != nil || s.Track(line) != nil || s.Writes(line) != 0 {
+				t.Fatalf("line %d of a fresh Memory has state", line)
+			}
+			s.ResetWrites(line)
+		}
+		s.ForEachTracked(func(uint64, *fakeTrack) { visited++ })
+	})
+	if allocs != 0 {
+		t.Errorf("reads allocated %v times per run, want 0", allocs)
+	}
+	if visited != 0 {
+		t.Errorf("ForEachTracked visited %d lines of a fresh Memory", visited)
+	}
+	if n := installedChunks(s); n != 0 {
+		t.Errorf("reads installed %d chunks", n)
+	}
+}
+
+// Eight goroutines released together make the first IncWrites into one
+// fresh chunk and race InstallTrack on one of its lines: every count lands
+// in the published chunk and every goroutine sees the same winning track.
+// Each round uses the next fresh chunk.
+func TestFirstTouchOfChunkConcurrent(t *testing.T) {
+	s := NewMemory[fakeTrack](testMapping(t))
+	const workers = 8
+	for round := 0; round < len(s.chunks); round++ {
+		counted := uint64(round) * ChunkLines
+		contested := counted + ChunkLines/2
+		start := make(chan struct{})
+		results := make([]*fakeTrack, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				s.IncWrites(counted)
+				results[i] = s.InstallTrack(contested, &fakeTrack{id: i})
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if got := s.Writes(counted); got != workers {
+			t.Fatalf("round %d: Writes = %d, want %d", round, got, workers)
+		}
+		winner := s.Track(contested)
+		for i, r := range results {
+			if r == nil || r != winner {
+				t.Fatalf("round %d: goroutine %d saw track %v, published %v", round, i, r, winner)
+			}
+		}
 	}
 }
 

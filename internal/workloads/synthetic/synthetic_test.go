@@ -49,8 +49,11 @@ func TestWWShareDetectedAndFixed(t *testing.T) {
 }
 
 func TestRWShareNeedsReadInstrumentation(t *testing.T) {
+	// Deterministic, as in TestLatentShareOnlyPredicted: free-scheduled
+	// workers can run back to back on a loaded host.
+	//
 	// Full instrumentation sees the read-write false sharing...
-	full := run(t, "rw_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+	full := run(t, "rw_share", harness.Options{Mode: harness.ModePredict, Buggy: true, Deterministic: true})
 	if !full.FalseSharingFound() {
 		t.Fatal("read-write false sharing not detected with full instrumentation")
 	}
@@ -58,7 +61,7 @@ func TestRWShareNeedsReadInstrumentation(t *testing.T) {
 	// one writer and silent readers there is no multi-thread write
 	// pattern at all.
 	wo := run(t, "rw_share", harness.Options{
-		Mode: harness.ModePredict, Buggy: true,
+		Mode: harness.ModePredict, Buggy: true, Deterministic: true,
 		Policy: instr.Policy{WritesOnly: true},
 	})
 	if wo.FalseSharingFound() {
@@ -101,7 +104,7 @@ func TestLatentShareOnlyPredicted(t *testing.T) {
 
 func TestLatentShareManifestsWhenShifted(t *testing.T) {
 	res := run(t, "latent_share", harness.Options{
-		Mode: harness.ModeDetect, Buggy: true, Offset: 24,
+		Mode: harness.ModeDetect, Buggy: true, Offset: 24, Deterministic: true,
 	})
 	if !res.FalseSharingFound() {
 		t.Error("shifted latent pattern not physically observed")
