@@ -282,127 +282,6 @@ func TestFleetRateLimitShedsBurst(t *testing.T) {
 	}
 }
 
-// benchRunPayload crafts a findings payload whose bench document times one
-// workload at origNs (Original) and predNs (PREDATOR) — the slowdown seed
-// the alert tests regress.
-func benchRunPayload(runID string, origNs, predNs int64) string {
-	return fmt.Sprintf(`{
-  "run": {"id": %q, "project": "demo", "agent": "bench-agent", "tool": "predbench"},
-  "reports": {"histogram": {"line_size": 64, "findings": [
-    {"source": "observed", "sharing": "false sharing", "span_start": 4096, "span_end": 4160,
-     "accesses": 1000, "writes": 400, "invalidations": 250,
-     "object": {"label": "counters", "callsite": "main.go:10"}}
-  ], "problems": []}},
-  "bench": {"tool": "predbench", "version": "test", "go_version": "go", "threads": 4,
-    "scale": 1, "repeats": 3, "records": [
-    {"experiment": "bench", "workload": "histogram", "suite": "synthetic", "mode": "Original",
-     "threads": 4, "scale": 1, "repeats": 3, "median_ns": %d, "min_ns": %d},
-    {"experiment": "bench", "workload": "histogram", "suite": "synthetic", "mode": "PREDATOR",
-     "threads": 4, "scale": 1, "repeats": 3, "median_ns": %d, "min_ns": %d}
-  ]}
-}`, runID, origNs, origNs, predNs, predNs)
-}
-
-// TestFleetDashboardAndAlerts is the observability acceptance loop: two
-// ingested runs render run-history sparklines on /dash/{project} with zero
-// external assets, and a seeded slowdown regression surfaces in
-// /api/v1/alerts, Prometheus /metrics, and predtop's fleet ALERT row.
-func TestFleetDashboardAndAlerts(t *testing.T) {
-	fp := startFleet(t, t.TempDir())
-
-	post := func(payload string) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost,
-			fp.base+"/api/v1/ingest/findings", strings.NewReader(payload))
-		req.Header.Set("Authorization", "Bearer s3cret")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("POST: %v", err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("ingest = %d (%s)", resp.StatusCode, body)
-		}
-	}
-	// Base run at 2.0x slowdown, head at 4.0x: a 2x regression, far past the
-	// 10% tolerance, with identical finding counts so only the slowdown fires.
-	post(benchRunPayload("bench-base", 1_000_000, 2_000_000))
-	post(benchRunPayload("bench-head", 1_000_000, 4_000_000))
-
-	// The per-project dashboard renders both runs and their sparklines,
-	// self-contained (no scripts, no external fetches).
-	code, body := fleetGet(t, fp.base, "/dash/demo?token=s3cret", "")
-	if code != http.StatusOK {
-		t.Fatalf("/dash/demo = %d (%s)", code, body)
-	}
-	page := string(body)
-	for _, want := range []string{"<svg", "polyline", "bench-base", "bench-head", "4.00x", "hottest lines", "slowdown_regression"} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("dashboard missing %q:\n%s", want, page)
-		}
-	}
-	for _, banned := range []string{"<script", "src=\"http", "href=\"http"} {
-		if strings.Contains(page, banned) {
-			t.Fatalf("dashboard references external asset %q", banned)
-		}
-	}
-
-	// The alert is served as structured JSON...
-	code, body = fleetGet(t, fp.base, "/api/v1/alerts?project=demo", "s3cret")
-	var alerts struct {
-		Count  int `json:"count"`
-		Alerts []struct {
-			Rule     string  `json:"rule"`
-			Severity string  `json:"severity"`
-			Run      string  `json:"run"`
-			Value    float64 `json:"value"`
-		} `json:"alerts"`
-	}
-	if code != http.StatusOK || json.Unmarshal(body, &alerts) != nil {
-		t.Fatalf("/alerts = %d (%s)", code, body)
-	}
-	if alerts.Count != 1 || alerts.Alerts[0].Rule != "slowdown_regression" ||
-		alerts.Alerts[0].Severity != "crit" || alerts.Alerts[0].Run != "bench-head" {
-		t.Fatalf("alerts = %s", body)
-	}
-	if alerts.Alerts[0].Value < 1.9 || alerts.Alerts[0].Value > 2.1 {
-		t.Fatalf("regression ratio = %v, want ~2.0", alerts.Alerts[0].Value)
-	}
-
-	// ...counted on the Prometheus scrape...
-	_, body = fleetGet(t, fp.base, "/metrics", "")
-	if !strings.Contains(string(body), "predfleet_alerts_slowdown_regression 1") {
-		t.Fatalf("alert gauge missing from /metrics:\n%s", body)
-	}
-
-	// ...and rendered on predtop's fleet ALERT row.
-	out, err := run(t, "predtop",
-		"-fleet", strings.TrimPrefix(fp.base, "http://"), "-token", "s3cret",
-		"-project", "demo", "-once")
-	if err != nil {
-		t.Fatalf("predtop -fleet: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "ALERT [crit] slowdown_regression demo:") {
-		t.Fatalf("predtop missing ALERT row:\n%s", out)
-	}
-
-	// The time-series API saw one slowdown point per run.
-	code, body = fleetGet(t, fp.base, "/api/v1/series?project=demo&name=slowdown_ratio", "s3cret")
-	var series struct {
-		Count  int `json:"count"`
-		Points []struct {
-			Sum float64 `json:"sum"`
-		} `json:"points"`
-	}
-	if code != http.StatusOK || json.Unmarshal(body, &series) != nil || series.Count != 2 {
-		t.Fatalf("/series = %d (%s)", code, body)
-	}
-	if series.Points[0].Sum != 2.0 || series.Points[1].Sum != 4.0 {
-		t.Fatalf("slowdown points = %s", body)
-	}
-}
-
 // TestFleetPredtopNarrowWidth drives the viewer at 40 columns: every line
 // fits, truncation is marked, nothing wraps.
 func TestFleetPredtopNarrowWidth(t *testing.T) {

@@ -1,8 +1,8 @@
-// Command predfleet is the fleet aggregation service: predator agents across
+// Command predfleet is the fleet run-history service: predator agents across
 // many machines stream findings, metric snapshots, and span traces here,
-// and the service answers fleet-wide questions — which projects regressed,
-// which cache lines are hottest across the fleet, how did this run compare
-// to the last one.
+// and the service answers fleet-wide questions — what each run found, how
+// did this run compare to the last one, which cache lines are hottest across
+// the fleet right now, and where a run spent its time.
 //
 //	predfleet -addr :9177 -store /var/lib/predfleet -tokens team-a=s3cret
 //	predator -workload mysql -fleet-addr host:9177 -fleet-token s3cret
@@ -24,9 +24,7 @@ import (
 	"syscall"
 	"time"
 
-	"predator/internal/eval"
 	"predator/internal/fleet"
-	"predator/internal/fleet/tsdb"
 	"predator/internal/obs"
 )
 
@@ -41,9 +39,6 @@ func main() {
 		maxBody = flag.Int64("max-body", fleet.DefaultMaxBody, "largest accepted ingestion body in bytes")
 		nosync  = flag.Bool("no-sync", false, "skip fsync on findings appends (faster, loses the durability guarantee)")
 		retain  = flag.Int("retain-segments", 0, "keep at most N store segments, pruning the oldest fully-acked ones at rotation (0: keep everything)")
-		ttl     = flag.Duration("agent-ttl", fleet.DefaultAgentTTL, "metrics silence after which an agent alerts and leaves the hotlines aggregate")
-		baseFn  = flag.String("bench-baseline", "", "pinned benchmark baseline JSON; runs regressing beyond tolerance against it raise slowdown alerts (default: each project's previous bench run)")
-		tol     = flag.Float64("bench-tolerance", 0, "slowdown-ratio drift tolerated before a regression alert (0: the CI gate default)")
 		version = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -62,24 +57,10 @@ func main() {
 		fatal(fmt.Errorf("no -tokens and no -allow-anonymous: every request would be rejected"))
 	}
 
-	var baseline *eval.BenchDoc
-	if *baseFn != "" {
-		doc, err := eval.ReadBenchFile(*baseFn)
-		if err != nil {
-			fatal(fmt.Errorf("-bench-baseline: %w", err))
-		}
-		baseline = doc
-	}
-
-	// The collector observes every accepted record — the startup salvage scan
-	// replays history through it, so the time-series rings rebuild from the
-	// JSONL segments without a WAL of their own.
-	collector := fleet.NewCollector(tsdb.New(tsdb.Config{}))
 	store, err := fleet.OpenStore(fleet.StoreConfig{
 		Dir:            *dir,
 		NoSync:         *nosync,
 		RetainSegments: *retain,
-		Observer:       collector,
 	})
 	if err != nil {
 		fatal(err)
@@ -105,12 +86,6 @@ func main() {
 		MaxBody:        *maxBody,
 		Registry:       reg,
 		Build:          build,
-		TSDB:           collector.DB(),
-		Alerts: fleet.AlertConfig{
-			AgentTTL:  *ttl,
-			Tolerance: *tol,
-			Baseline:  baseline,
-		},
 	})
 	if err != nil {
 		fatal(err)
@@ -123,7 +98,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("predfleet: serving on http://%s (store %s, %d tenant token(s))\n", bound, *dir, len(tokenMap))
-	fmt.Printf("predfleet: dashboard at http://%s/dash\n", bound)
 
 	// Serve until interrupted, then drain in-flight requests and close the
 	// store so the final segment ends on a clean line.

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"predator/internal/fleet/tsdb"
 	"predator/internal/obs"
 	"predator/internal/resilience/httpguard"
 )
@@ -43,12 +42,6 @@ type ServerConfig struct {
 	Build obs.BuildInfo
 	// Clock substitutes time.Now (tests). Nil means time.Now.
 	Clock func() time.Time
-	// TSDB, when non-nil, serves /api/v1/series and the dashboard
-	// sparklines. Wire the same DB behind the store's Observer so it fills.
-	TSDB *tsdb.DB
-	// Alerts configures the alert engine (zero values take the defaults);
-	// the engine itself is always built from the store.
-	Alerts AlertConfig
 }
 
 // Server is the predfleet HTTP service: token-authenticated multi-tenant
@@ -65,8 +58,6 @@ type Server struct {
 	limiter *RateLimiter
 	reg     *obs.Registry
 	started time.Time
-	tsdb    *tsdb.DB // nil: series/dash sparklines disabled
-	alerter *Alerter
 
 	mIngest      *obs.Counter // predfleet_ingest_total
 	mIngestErr   *obs.Counter
@@ -96,12 +87,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		limiter: NewRateLimiter(cfg.Rate, cfg.Burst, cfg.Clock),
 		reg:     cfg.Registry,
 		started: cfg.Clock(),
-		tsdb:    cfg.TSDB,
 	}
-	if cfg.Alerts.Clock == nil {
-		cfg.Alerts.Clock = cfg.Clock
-	}
-	s.alerter = NewAlerter(cfg.Store, cfg.Alerts)
 	s.mIngest = s.reg.Counter("predfleet_ingest_total", "Ingestion requests accepted (findings, metrics, spans).")
 	s.mIngestErr = s.reg.Counter("predfleet_ingest_errors_total", "Ingestion requests rejected (bad payloads, store faults).")
 	s.mRateLimited = s.reg.Counter("predfleet_rate_limited_total", "Ingestion requests shed with 429.")
@@ -115,15 +101,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		func() float64 { return float64(s.store.Recovery().CorruptLines) })
 	s.reg.GaugeFunc("predfleet_store_pruned_segments", "Fully-acked segments pruned by -retain-segments.",
 		func() float64 { return float64(s.store.PrunedSegments()) })
-	for _, rule := range []string{RuleFindingDrift, RuleSlowdownRegression, RuleAgentSilent} {
-		rule := rule
-		s.reg.GaugeFunc("predfleet_alerts_"+rule, "Active "+rule+" alerts across every tenant.",
-			func() float64 { return float64(s.alerter.CountByRule()[rule]) })
-	}
-	if s.tsdb != nil {
-		s.reg.GaugeFunc("predfleet_tsdb_appends", "Samples appended to the time-series rings.",
-			func() float64 { return float64(s.tsdb.Appends()) })
-	}
 
 	s.Handle("/healthz", s.handleHealthz)
 	s.Handle("/metrics", s.handleMetrics)
@@ -136,16 +113,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.Handle("/api/v1/findings", s.query(s.handleFindings))
 	s.Handle("/api/v1/diff", s.query(s.handleDiff))
 	s.Handle("/api/v1/hotlines", s.query(s.handleHotLines))
-	s.Handle("/api/v1/series", s.query(s.handleSeries))
-	s.Handle("/api/v1/alerts", s.query(s.handleAlerts))
-	s.Handle("/dash", s.query(s.handleDashIndex))
-	s.Handle("/dash/", s.query(s.handleDashProject))
+	s.Handle("/dash/{project}/trace/{id}", s.query(s.handleDashTrace))
 	return s, nil
 }
 
 // tenantOf authenticates a request: Authorization: Bearer <token> (or the
-// X-Predfleet-Token header, or ?token= for the browser-loaded dashboard
-// pages, which cannot set headers) resolved through the token table.
+// X-Predfleet-Token header, or ?token= for the browser-loaded trace
+// waterfall, which cannot set headers) resolved through the token table.
 func (s *Server) tenantOf(r *http.Request) (string, error) {
 	tok := r.Header.Get("X-Predfleet-Token")
 	if h := r.Header.Get("Authorization"); tok == "" && strings.HasPrefix(h, "Bearer ") {
@@ -496,13 +470,14 @@ type HotLinesResponse struct {
 	Agents    int           `json:"agents"`
 	Stats     StatsSnapshot `json:"stats"`
 	Lines     []HotLine     `json:"lines"`
-	// Alerts are the tenant's active anomalies pre-rendered one per line
-	// (severity-first) — predtop's ALERT row.
-	Alerts []string `json:"alerts,omitempty"`
 }
 
 // DefaultHotLines is how many lines /api/v1/hotlines returns without ?n=.
 const DefaultHotLines = 10
+
+// AgentTTL is how long an agent's metrics stream may go silent before its
+// contribution leaves /api/v1/hotlines.
+const AgentTTL = 30 * time.Second
 
 func (s *Server) handleHotLines(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
 	q := r.URL.Query()
@@ -517,16 +492,13 @@ func (s *Server) handleHotLines(tenant string, r *http.Request, buf *bytes.Buffe
 	// Agents whose metrics stream went silent past the TTL stop
 	// contributing: a dead agent's last snapshot must not pin its lines into
 	// the fleet view forever.
-	snaps := s.store.FreshAgentMetrics(tenant, q.Get("project"), s.cfg.Clock(), s.alerter.AgentTTL())
+	snaps := s.store.FreshAgentMetrics(tenant, q.Get("project"), s.cfg.Clock(), AgentTTL)
 	resp := HotLinesResponse{
 		Tool:      "predfleet",
 		UnixMilli: s.cfg.Clock().UnixMilli(),
 		Requested: n,
 		Agents:    len(snaps),
 		Lines:     []HotLine{},
-	}
-	for _, al := range s.alerter.Alerts(tenant, q.Get("project")) {
-		resp.Alerts = append(resp.Alerts, al.String())
 	}
 	for _, mp := range snaps {
 		resp.Stats.Accesses += mp.Stats.Accesses
@@ -562,67 +534,6 @@ func (s *Server) handleHotLines(tenant string, r *http.Request, buf *bytes.Buffe
 	}
 	resp.Count = len(resp.Lines)
 	return httpguard.WriteJSON(buf, resp)
-}
-
-// SeriesResponse is the /api/v1/series schema. Without ?name= it lists the
-// project's series names; with one it returns that series' buckets at the
-// requested resolution (raw | 1m | 1h).
-type SeriesResponse struct {
-	Tenant     string        `json:"tenant"`
-	Project    string        `json:"project"`
-	Series     string        `json:"series,omitempty"`
-	Resolution string        `json:"resolution,omitempty"`
-	SinceMs    int64         `json:"since_unix_ms,omitempty"`
-	Names      []string      `json:"names,omitempty"`
-	Count      int           `json:"count"`
-	Points     []tsdb.Bucket `json:"points,omitempty"`
-}
-
-func (s *Server) handleSeries(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
-	if s.tsdb == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "time-series engine disabled")
-	}
-	q := r.URL.Query()
-	project := q.Get("project")
-	if project == "" {
-		return "", httpguard.Status(http.StatusBadRequest, "missing ?project=")
-	}
-	scope := ScopeKey(tenant, project)
-	name := q.Get("name")
-	if name == "" {
-		names := s.tsdb.Series(scope)
-		if names == nil {
-			names = []string{}
-		}
-		return httpguard.WriteJSON(buf, SeriesResponse{
-			Tenant: tenant, Project: project, Names: names, Count: len(names),
-		})
-	}
-	res := q.Get("res")
-	if res == "" {
-		res = tsdb.ResRaw
-	}
-	switch res {
-	case tsdb.ResRaw, tsdb.Res1m, tsdb.Res1h:
-	default:
-		return "", httpguard.Status(http.StatusBadRequest, "invalid res (want raw|1m|1h): "+res)
-	}
-	var since int64
-	if raw := q.Get("since"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return "", httpguard.Status(http.StatusBadRequest, "invalid since (want unix ms): "+raw)
-		}
-		since = v
-	}
-	points := s.tsdb.Query(scope, name, res, since)
-	if points == nil {
-		points = []tsdb.Bucket{}
-	}
-	return httpguard.WriteJSON(buf, SeriesResponse{
-		Tenant: tenant, Project: project, Series: name, Resolution: res,
-		SinceMs: since, Count: len(points), Points: points,
-	})
 }
 
 // TracesResponse is the /api/v1/traces schema. Without ?id= it lists the
@@ -665,24 +576,5 @@ func (s *Server) handleTraces(tenant string, r *http.Request, buf *bytes.Buffer)
 	}
 	return httpguard.WriteJSON(buf, TracesResponse{
 		Tenant: tenant, Project: project, Count: len(traces), Traces: traces,
-	})
-}
-
-// AlertsResponse is the /api/v1/alerts schema.
-type AlertsResponse struct {
-	Tenant  string  `json:"tenant"`
-	Project string  `json:"project,omitempty"`
-	Count   int     `json:"count"`
-	Alerts  []Alert `json:"alerts"`
-}
-
-func (s *Server) handleAlerts(tenant string, r *http.Request, buf *bytes.Buffer) (string, error) {
-	project := r.URL.Query().Get("project")
-	alerts := s.alerter.Alerts(tenant, project)
-	if alerts == nil {
-		alerts = []Alert{}
-	}
-	return httpguard.WriteJSON(buf, AlertsResponse{
-		Tenant: tenant, Project: project, Count: len(alerts), Alerts: alerts,
 	})
 }

@@ -310,6 +310,54 @@ func TestServerHotLinesAggregation(t *testing.T) {
 	}
 }
 
+func postMetrics(t *testing.T, base string, mp *MetricsPayload) {
+	t.Helper()
+	body, _ := json.Marshal(mp)
+	code, data, _ := do(t, http.MethodPost, base+"/api/v1/ingest/metrics", "s3cret", body)
+	if code != http.StatusOK {
+		t.Fatalf("ingest metrics = %d (%s)", code, data)
+	}
+}
+
+// TestServerHotLinesExpireSilentAgents: an agent whose metrics stream has
+// been silent for longer than AgentTTL leaves the hotlines aggregate.
+func TestServerHotLinesExpireSilentAgents(t *testing.T) {
+	fc := newFakeClock()
+	store, err := OpenStore(StoreConfig{Dir: t.TempDir(), NoSync: true, Clock: fc.Now})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+	_, ts := newTestServer(t, func(cfg *ServerConfig) {
+		cfg.Store = store
+		cfg.Clock = fc.Now
+	})
+	postMetrics(t, ts.URL, &MetricsPayload{Project: "db", Agent: "a1",
+		Stats:    StatsSnapshot{Invalidations: 50},
+		HotLines: []HotLine{{Addr: 0x1000, Invalidations: 50}}})
+
+	fetch := func() HotLinesResponse {
+		t.Helper()
+		code, body, _ := do(t, http.MethodGet, ts.URL+"/api/v1/hotlines?project=db", "s3cret", nil)
+		if code != http.StatusOK {
+			t.Fatalf("hotlines = %d (%s)", code, body)
+		}
+		var hl HotLinesResponse
+		if err := json.Unmarshal(body, &hl); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return hl
+	}
+	fc.Advance(AgentTTL)
+	if hl := fetch(); hl.Agents != 1 || len(hl.Lines) != 1 {
+		t.Fatalf("agent silent for exactly AgentTTL dropped: %+v", hl)
+	}
+	fc.Advance(time.Second)
+	if hl := fetch(); hl.Agents != 0 || len(hl.Lines) != 0 {
+		t.Fatalf("silent agent still aggregated: %+v", hl)
+	}
+}
+
 func TestServerHealth(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	postRun(t, ts.URL, "s3cret", mkRun("r1", "db", "mysql"), http.StatusCreated)

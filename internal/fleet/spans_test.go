@@ -231,23 +231,13 @@ func TestDashTraceWaterfall(t *testing.T) {
 	sp := mkSpans(t, "db", "r1")
 	postSpans(t, ts.URL, sp, http.StatusOK)
 
-	// The project page links the trace.
-	code, body, _ := do(t, http.MethodGet, ts.URL+"/dash/db?token=s3cret", "", nil)
-	if code != http.StatusOK {
-		t.Fatalf("/dash/db = %d (%s)", code, body)
-	}
-	page := string(body)
-	if !strings.Contains(page, "/dash/db/trace/"+sp.TraceID) {
-		t.Fatalf("project page missing trace link:\n%s", page)
-	}
-
 	// The waterfall renders every span as an SVG bar with its name in the
 	// gutter, plus the attribute table underneath.
-	code, body, _ = do(t, http.MethodGet, ts.URL+"/dash/db/trace/"+sp.TraceID+"?token=s3cret", "", nil)
+	code, body, _ := do(t, http.MethodGet, ts.URL+"/dash/db/trace/"+sp.TraceID+"?token=s3cret", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("waterfall = %d (%s)", code, body)
 	}
-	page = string(body)
+	page := string(body)
 	for _, want := range []string{"<svg", "cli.run", "harness.workload", "span attributes", "predator.accesses_dispatched"} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("waterfall missing %q:\n%s", want, page)
@@ -256,6 +246,16 @@ func TestDashTraceWaterfall(t *testing.T) {
 	for _, banned := range []string{"<script", "src=\"http", "href=\"http"} {
 		if strings.Contains(page, banned) {
 			t.Fatalf("waterfall references external asset %q", banned)
+		}
+	}
+	// The waterfall is the only page left: it links nowhere, and the project
+	// pages, series and alerts are gone.
+	if strings.Contains(page, "href=") {
+		t.Fatalf("waterfall links to another page:\n%s", page)
+	}
+	for _, path := range []string{"/dash", "/dash/db", "/api/v1/series?project=db", "/api/v1/alerts"} {
+		if code, _, _ := do(t, http.MethodGet, ts.URL+path, "s3cret", nil); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
 

@@ -43,20 +43,6 @@ type Store struct {
 	pruned   uint64 // segment files removed by retention
 }
 
-// Observer receives every record the store accepts — both live appends and
-// the startup salvage scan, in log order. This is how the time-series engine
-// gets crash-safe persistence without a WAL of its own: the JSONL segments
-// are the durable log, and a restart replays them through the observer to
-// rebuild derived state (rings, rollups, per-agent cursors). Calls happen
-// with the store lock held; observers must not call back into the store.
-type Observer interface {
-	// ObserveMetrics sees one accepted metrics snapshot. recvMs is the
-	// server-side ingestion time stamped into the envelope.
-	ObserveMetrics(tenant string, mp *MetricsPayload, recvMs int64)
-	// ObserveRun sees one accepted findings run after indexing.
-	ObserveRun(tenant, project string, e *RunEntry)
-}
-
 // StoreConfig configures OpenStore.
 type StoreConfig struct {
 	// Dir is the store directory; created if absent.
@@ -80,9 +66,6 @@ type StoreConfig struct {
 	// at each rotation the oldest fully-acked segments beyond the cap are
 	// deleted (never the active one). 0 keeps everything.
 	RetainSegments int
-	// Observer, when non-nil, sees every accepted record (recovery scan and
-	// live appends) — the tsdb feed.
-	Observer Observer
 	// Clock substitutes time.Now (tests). Nil means time.Now.
 	Clock func() time.Time
 }
@@ -382,9 +365,6 @@ func (s *Store) apply(env *Envelope) error {
 		}
 		p.runs = append(p.runs, e)
 		p.byID[id] = e
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.ObserveRun(env.Tenant, env.Project, e)
-		}
 		return nil
 	case TypeMetrics:
 		var mp MetricsPayload
@@ -402,9 +382,6 @@ func (s *Store) apply(env *Envelope) error {
 		mp.Project = env.Project
 		if prev, ok := p.metrics[agent]; !ok || mp.UnixMs >= prev.payload.UnixMs {
 			p.metrics[agent] = &agentMetrics{payload: &mp, recvMs: env.UnixMs}
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.ObserveMetrics(env.Tenant, &mp, env.UnixMs)
 		}
 		return nil
 	case TypeSpans:
@@ -676,19 +653,6 @@ func (s *Store) PrunedSegments() uint64 {
 	return s.pruned
 }
 
-// Tenants lists every tenant with indexed data, sorted — the iteration
-// surface the fleet-wide alert gauges use.
-func (s *Store) Tenants() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.idx))
-	for name := range s.idx {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ProjectInfo summarizes one project for /api/v1/projects.
 type ProjectInfo struct {
 	Project    string `json:"project"`
@@ -766,19 +730,6 @@ func (s *Store) Runs(tenant, project string, n int) []RunInfo {
 	return out
 }
 
-// RunHistory returns a project's run entries in ingestion order, oldest
-// first (a copied slice over shared entries — the same aliasing contract as
-// Run). The alert engine and dashboards read trends from this.
-func (s *Store) RunHistory(tenant, project string) []*RunEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.lookupProject(tenant, project)
-	if p == nil {
-		return nil
-	}
-	return append([]*RunEntry(nil), p.runs...)
-}
-
 // lookupProject resolves (tenant, project) to its index, nil if absent.
 // Caller holds s.mu.
 func (s *Store) lookupProject(tenant, project string) *projectIndex {
@@ -845,16 +796,11 @@ func (s *Store) Findings(tenant, project string, sinceMs int64) []ProjectFinding
 	return out
 }
 
-// AgentMetrics returns the latest metrics payloads for a tenant, across all
-// projects (project == "") or one project, sorted by project then agent.
-func (s *Store) AgentMetrics(tenant, project string) []*MetricsPayload {
-	return s.FreshAgentMetrics(tenant, project, time.Time{}, 0)
-}
-
-// FreshAgentMetrics is AgentMetrics restricted to agents whose metrics
+// FreshAgentMetrics returns the latest metrics payload of each agent whose
 // stream was still flowing within ttl of now, measured against server-side
-// receive time (ttl <= 0 disables the filter). This is what keeps
-// /api/v1/hotlines from aggregating agents that died mid-run forever.
+// receive time, for a tenant's projects (project == "") or one project,
+// sorted by project then agent. This is what keeps /api/v1/hotlines from
+// aggregating agents that died mid-run forever.
 func (s *Store) FreshAgentMetrics(tenant, project string, now time.Time, ttl time.Duration) []*MetricsPayload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -862,10 +808,7 @@ func (s *Store) FreshAgentMetrics(tenant, project string, now time.Time, ttl tim
 	if !ok {
 		return nil
 	}
-	minMs := int64(0)
-	if ttl > 0 {
-		minMs = now.UnixMilli() - ttl.Milliseconds()
-	}
+	minMs := now.UnixMilli() - ttl.Milliseconds()
 	var out []*MetricsPayload
 	for name, p := range t.projects {
 		if project != "" && name != project {
@@ -978,47 +921,4 @@ func (s *Store) TraceIDForRun(tenant, project, run string) string {
 		return sp.TraceID
 	}
 	return ""
-}
-
-// AgentStatus is one agent's liveness record: when the server last received
-// a metrics snapshot from it.
-type AgentStatus struct {
-	Project    string `json:"project"`
-	Agent      string `json:"agent"`
-	Tool       string `json:"tool,omitempty"`
-	Run        string `json:"run,omitempty"`
-	LastSeenMs int64  `json:"last_seen_unix_ms"`
-}
-
-// Agents lists a tenant's agents (all projects when project == ""), stale or
-// not, sorted by project then agent — the alert engine's silence feed.
-func (s *Store) Agents(tenant, project string) []AgentStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.idx[tenant]
-	if !ok {
-		return nil
-	}
-	var out []AgentStatus
-	for name, p := range t.projects {
-		if project != "" && name != project {
-			continue
-		}
-		for agent, am := range p.metrics {
-			out = append(out, AgentStatus{
-				Project:    name,
-				Agent:      agent,
-				Tool:       am.payload.Tool,
-				Run:        am.payload.Run,
-				LastSeenMs: am.recvMs,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Project != out[j].Project {
-			return out[i].Project < out[j].Project
-		}
-		return out[i].Agent < out[j].Agent
-	})
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,8 +86,8 @@ func TestStoreRoundtripAndRecovery(t *testing.T) {
 	if err != nil || entry.Counts.Findings != 1 {
 		t.Fatalf("recovered Run(r1) = %+v, %v", entry, err)
 	}
-	if mps := s2.AgentMetrics("acme", "db"); len(mps) != 1 || mps[0].HotLines[0].Owners != "01S." {
-		t.Fatalf("recovered AgentMetrics = %+v", mps)
+	if mps := s2.FreshAgentMetrics("acme", "db", time.Now(), time.Hour); len(mps) != 1 || mps[0].HotLines[0].Owners != "01S." {
+		t.Fatalf("recovered FreshAgentMetrics = %+v", mps)
 	}
 }
 
@@ -248,23 +249,7 @@ func TestStoreSegmentRotation(t *testing.T) {
 // gate) ingested as fleet runs — proving stored segments stay readable
 // across sessions and bench-backed diffs work on real documents.
 func TestStoreSeedHistoryFixture(t *testing.T) {
-	// OpenStore starts a fresh segment in its directory, so work on a copy.
-	dir := t.TempDir()
-	names, err := filepath.Glob(filepath.Join("testdata", "seed-history", "seg-*.jsonl"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("fixture segments: %v (%d found)", err, len(names))
-	}
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s := openTestStore(t, dir)
+	s := openTestStore(t, copyFixture(t, "seed-history"))
 	defer s.Close()
 	if rec := s.Recovery(); !rec.Clean() || rec.Records != 2 {
 		t.Fatalf("fixture recovery = %+v, want 2 clean records", rec)
@@ -290,6 +275,80 @@ func TestStoreSeedHistoryFixture(t *testing.T) {
 	}
 }
 
+// copyFixture copies the segments of testdata/<name> into a temporary
+// directory and returns it: OpenStore starts a fresh segment in its
+// directory, so a test never opens the committed one in place.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	names, err := filepath.Glob(filepath.Join("testdata", name, "seg-*.jsonl"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture segments: %v (%d found)", err, len(names))
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestStoreAgentRunFixture reopens the segment a predator run streamed
+// through predfleet while metrics payloads still carried the agent's whole
+// registry as "snapshot": one findings, one metrics and one spans
+// envelope. All three still apply, and the run, the agent's hot lines and
+// the trace are served.
+func TestStoreAgentRunFixture(t *testing.T) {
+	// Hotlines drop agents silent for longer than AgentTTL, so the clock
+	// stands at the fixture's last envelope.
+	fc := &fakeClock{t: time.UnixMilli(1792260052707)}
+	dir := copyFixture(t, "agent-run")
+	if seg, err := os.ReadFile(filepath.Join(dir, segmentName(1))); err != nil || !strings.Contains(string(seg), `"snapshot":{`) {
+		t.Fatalf("fixture metrics envelope lost its snapshot field (%v)", err)
+	}
+	s, err := OpenStore(StoreConfig{Dir: dir, NoSync: true, Clock: fc.Now})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if rec := s.Recovery(); !rec.Clean() || rec.Records != 3 {
+		t.Fatalf("fixture recovery = %+v, want 3 clean records", rec)
+	}
+	_, ts := newTestServer(t, func(cfg *ServerConfig) {
+		cfg.Store = s
+		cfg.Clock = fc.Now
+	})
+	get := func(path string, v any) {
+		t.Helper()
+		code, body, _ := do(t, http.MethodGet, ts.URL+path, "s3cret", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d (%s)", path, code, body)
+		}
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	var runs RunsResponse
+	get("/api/v1/runs?project=db", &runs)
+	if runs.Count != 1 || runs.Runs[0].ID != "run-1" || runs.Runs[0].Counts.Findings != 1 {
+		t.Fatalf("runs = %+v", runs)
+	}
+	var hl HotLinesResponse
+	get("/api/v1/hotlines?project=db", &hl)
+	if hl.Agents != 1 || hl.Count == 0 || hl.Lines[0].Trace == "" {
+		t.Fatalf("hotlines = %+v, want the agent's lines tagged with its trace", hl)
+	}
+	var traces TracesResponse
+	get("/api/v1/traces?project=db", &traces)
+	if traces.Count != 1 || traces.Traces[0].Run != "run-1" || traces.Traces[0].TraceID != hl.Lines[0].Trace {
+		t.Fatalf("traces = %+v", traces)
+	}
+}
+
 func TestStoreMetricsKeepsLatestPerAgent(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	defer s.Close()
@@ -301,9 +360,9 @@ func TestStoreMetricsKeepsLatestPerAgent(t *testing.T) {
 			t.Fatalf("AppendMetrics: %v", err)
 		}
 	}
-	mps := s.AgentMetrics("acme", "db")
+	mps := s.FreshAgentMetrics("acme", "db", time.Now(), time.Hour)
 	if len(mps) != 1 || mps[0].Stats.Invalidations != 70 {
-		t.Fatalf("AgentMetrics = %+v, want only the latest snapshot", mps)
+		t.Fatalf("FreshAgentMetrics = %+v, want only the latest snapshot", mps)
 	}
 }
 
@@ -367,16 +426,9 @@ func TestStoreFreshAgentMetricsExpiresSilent(t *testing.T) {
 	if len(fresh) != 1 || fresh[0].Agent != "fresh-1" {
 		t.Fatalf("FreshAgentMetrics = %+v, want only fresh-1", fresh)
 	}
-	// ttl=0 disables filtering; AgentMetrics keeps the old behaviour.
-	if all := s.AgentMetrics("acme", "db"); len(all) != 2 {
-		t.Fatalf("AgentMetrics = %+v, want both agents", all)
-	}
-	// Agents exposes server-side last-seen stamps for the alerter.
-	ags := s.Agents("acme", "db")
-	if len(ags) != 2 || ags[0].Agent != "fresh-1" || ags[1].Agent != "stale-1" {
-		t.Fatalf("Agents = %+v", ags)
-	}
-	if ags[1].LastSeenMs >= ags[0].LastSeenMs {
-		t.Fatalf("stale agent not older: %+v", ags)
+	// A window longer than the silence keeps both, sorted by agent.
+	all := s.FreshAgentMetrics("acme", "db", fc.Now(), time.Minute)
+	if len(all) != 2 || all[0].Agent != "fresh-1" || all[1].Agent != "stale-1" {
+		t.Fatalf("FreshAgentMetrics over a minute = %+v, want both agents", all)
 	}
 }

@@ -80,17 +80,19 @@ type FindingsPayload struct {
 }
 
 // MetricsPayload is the body of POST /api/v1/ingest/metrics: a point-in-time
-// snapshot of one agent's registry and hottest lines. The server keeps the
-// latest payload per (project, agent) and aggregates them in /api/v1/hotlines.
+// snapshot of one agent's runtime counters and hottest lines. The server
+// keeps the latest payload per (project, agent) and aggregates them in
+// /api/v1/hotlines. Payloads and segments from older agents may still carry
+// a "snapshot" field (the agent's whole metrics registry); decoding ignores
+// it.
 type MetricsPayload struct {
-	Project  string             `json:"project"`
-	Agent    string             `json:"agent"`
-	Tool     string             `json:"tool,omitempty"`
-	Run      string             `json:"run,omitempty"`
-	UnixMs   int64              `json:"unix_ms"`
-	Snapshot map[string]float64 `json:"snapshot,omitempty"` // obs.Registry.Snapshot()
-	Stats    StatsSnapshot      `json:"stats"`
-	HotLines []HotLine          `json:"hotlines,omitempty"`
+	Project  string        `json:"project"`
+	Agent    string        `json:"agent"`
+	Tool     string        `json:"tool,omitempty"`
+	Run      string        `json:"run,omitempty"`
+	UnixMs   int64         `json:"unix_ms"`
+	Stats    StatsSnapshot `json:"stats"`
+	HotLines []HotLine     `json:"hotlines,omitempty"`
 }
 
 // StatsSnapshot mirrors the runtime counters agents report (the same
@@ -105,8 +107,8 @@ type StatsSnapshot struct {
 	DegradedLines int    `json:"degraded_lines,omitempty"`
 	Degraded      bool   `json:"degraded,omitempty"`
 	// Elided counts accesses the static elision fast path dropped (zero
-	// without an -elide manifest), so fleet dashboards can attribute how
-	// much instrumentation the proofs saved.
+	// without an -elide manifest), so the fleet hotlines view can attribute
+	// how much instrumentation the proofs saved.
 	Elided uint64 `json:"elided,omitempty"`
 }
 
@@ -137,7 +139,7 @@ type HotLine struct {
 // SpansPayload is the body of POST /api/v1/ingest/spans: one run's finished
 // span snapshot, shipped once at run end. The server keeps the latest
 // payload per (project, run) and serves it from /api/v1/traces and the
-// dashboard waterfall; a finding's provenance span_id indexes into Spans.
+// trace waterfall; a finding's provenance span_id indexes into Spans.
 type SpansPayload struct {
 	Project string       `json:"project"`
 	Agent   string       `json:"agent,omitempty"`

@@ -250,9 +250,10 @@ func (s *Session) runtimeMetrics() *fleet.MetricsPayload {
 	if rt == nil {
 		return nil
 	}
-	mp := fleetclient.SnapshotRuntime(rt, 10, s.Observer.Metrics().Snapshot())
+	mp := fleetclient.SnapshotRuntime(rt, 10)
 	if mp != nil {
 		mp.Run = s.runID
+		mp.Stats.Elided = uint64(s.Observer.Metrics().Snapshot()["predator_events_elided_total"])
 	}
 	return mp
 }

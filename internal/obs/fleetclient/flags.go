@@ -32,7 +32,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 		Run:     fs.String("fleet-run", "", "run identifier (default: derived from tool/host/pid/time)"),
 		Spool:   fs.String("fleet-spool", "", "spool undeliverable fleet payloads to this local JSONL file and replay them when the server returns"),
 		Interval: fs.Duration("fleet-interval", 2*time.Second,
-			"metrics snapshot cadence streamed to the fleet (drives its time-series resolution)"),
+			"metrics snapshot cadence streamed to the fleet (refreshes its hotlines view)"),
 	}
 }
 

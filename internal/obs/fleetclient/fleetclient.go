@@ -211,7 +211,7 @@ func (c *Client) SendMetrics(mp *fleet.MetricsPayload) error {
 
 // SendSpans enqueues one run's span snapshot — the trace-context propagation
 // leg: the same trace ID the agent exported locally (-spans-out) becomes
-// addressable fleet-wide via /api/v1/traces and the dashboard waterfall.
+// addressable fleet-wide via /api/v1/traces and the trace waterfall.
 func (c *Client) SendSpans(sp *fleet.SpansPayload) error {
 	if sp.Project == "" {
 		sp.Project = c.cfg.Project
@@ -511,15 +511,14 @@ func (c *Client) replaySpool() {
 // SnapshotRuntime builds a MetricsPayload from a live runtime: the standard
 // stats block plus the top-n hottest lines with pre-rendered ownership
 // heatmaps. The helper the CLIs hand to StartReporter. The elided counter
-// lives in the instrumentation front-end, not core.Stats, so it is lifted
-// from the registry snapshot (the same place diag /stats reads it).
-func SnapshotRuntime(rt *core.Runtime, n int, snapshot map[string]float64) *fleet.MetricsPayload {
+// lives in the instrumentation front-end, not core.Stats, so the caller
+// fills Stats.Elided.
+func SnapshotRuntime(rt *core.Runtime, n int) *fleet.MetricsPayload {
 	if rt == nil {
 		return nil
 	}
 	st := rt.Stats()
 	mp := &fleet.MetricsPayload{
-		Snapshot: snapshot,
 		Stats: fleet.StatsSnapshot{
 			Accesses:      st.Accesses,
 			Writes:        st.Writes,
@@ -528,7 +527,6 @@ func SnapshotRuntime(rt *core.Runtime, n int, snapshot map[string]float64) *flee
 			Invalidations: st.Invalidations,
 			DegradedLines: st.DegradedLines,
 			Degraded:      st.Degraded,
-			Elided:        uint64(snapshot["predator_events_elided_total"]),
 		},
 	}
 	for _, ln := range rt.HotLines(n) {

@@ -134,12 +134,19 @@ type Config struct {
 type Tracer struct {
 	slots   []atomic.Pointer[Span]
 	mask    uint64
-	next    atomic.Uint64
-	dropped atomic.Uint64
-	clock   atomic.Uint64 // logical span clock: ticks at every start/end
-	rng     atomic.Uint64 // splitmix64 state for ID generation
 	traceID TraceID
 	epoch   time.Time // monotonic anchor for mono-nanosecond stamps
+	// predlint padcheck: spans start and end on whichever goroutine runs
+	// the phase, and each of the four counters below is written there, so
+	// each gets its own cache line, clear of the read-only fields above.
+	_       [56]byte
+	next    atomic.Uint64
+	_       [56]byte
+	dropped atomic.Uint64
+	_       [56]byte
+	clock   atomic.Uint64 // logical span clock: ticks at every start/end
+	_       [56]byte
+	rng     atomic.Uint64 // splitmix64 state for ID generation
 }
 
 // New builds a tracer with a fresh trace ID.

@@ -56,9 +56,6 @@ type Frame struct {
 	Agents    int    `json:"agents,omitempty"` // fleet only
 	Stats     Stats  `json:"stats"`
 	Lines     []Line `json:"lines"`
-	// Alerts are the fleet's active anomalies, pre-rendered one per line
-	// (severity-first). Only the fleet server fills them.
-	Alerts []string `json:"alerts,omitempty"`
 }
 
 // Client polls one hot-lines URL.
@@ -169,14 +166,7 @@ type RenderOptions struct {
 	// lines with a trailing '…' (0: unlimited). Narrow terminals stay
 	// readable instead of wrapping mid-table.
 	Width int
-	// MaxAlerts caps the ALERT rows rendered (0: DefaultMaxAlerts); the
-	// frame's alerts arrive severity-first, so the worst always show.
-	MaxAlerts int
 }
-
-// DefaultMaxAlerts is how many ALERT rows a frame renders before the rest
-// collapse into a "+N more" marker.
-const DefaultMaxAlerts = 3
 
 // Render draws one frame at unlimited width. showOrigin adds the fleet
 // ORIGIN column (project/agent each line came from).
@@ -226,24 +216,7 @@ func renderFrame(w io.Writer, r *Frame, opts RenderOptions) {
 	if st.Degraded {
 		fmt.Fprintf(w, "  DEGRADED(lines=%d evictions=%d)", st.DegradedLines, st.Evictions)
 	}
-	fmt.Fprintln(w)
-	if len(r.Alerts) > 0 {
-		max := opts.MaxAlerts
-		if max <= 0 {
-			max = DefaultMaxAlerts
-		}
-		shown := r.Alerts
-		if len(shown) > max {
-			shown = shown[:max]
-		}
-		for _, a := range shown {
-			fmt.Fprintf(w, "ALERT %s\n", a)
-		}
-		if rest := len(r.Alerts) - len(shown); rest > 0 {
-			fmt.Fprintf(w, "ALERT … +%d more\n", rest)
-		}
-	}
-	fmt.Fprintln(w)
+	fmt.Fprint(w, "\n\n") // end the header, then one blank line
 	if r.Count == 0 {
 		fmt.Fprintln(w, "(no tracked lines yet)")
 		return

@@ -159,38 +159,9 @@ func TestLoopOnceAndFirstPollFailure(t *testing.T) {
 	}
 }
 
-func TestRenderAlertRows(t *testing.T) {
-	fr := diagFrame()
-	fr.Alerts = []string{
-		"[crit] slowdown_regression db: 1 slowdown regression(s), worst 2.00x",
-		"[warn] agent_silent db: agent a1 silent for 45s",
-		"[warn] agent_silent db: agent a2 silent for 50s",
-		"[warn] agent_silent db: agent a3 silent for 60s",
-	}
-	var buf bytes.Buffer
-	RenderWith(&buf, fr, RenderOptions{})
-	out := buf.String()
-	if !strings.Contains(out, "ALERT [crit] slowdown_regression") {
-		t.Fatalf("crit alert row missing:\n%s", out)
-	}
-	// Only DefaultMaxAlerts rows render; the rest collapse to a marker.
-	if strings.Contains(out, "agent a3") {
-		t.Fatalf("fourth alert rendered past the cap:\n%s", out)
-	}
-	if !strings.Contains(out, "ALERT … +1 more") {
-		t.Fatalf("overflow marker missing:\n%s", out)
-	}
-	// The table still follows the alert block.
-	if !strings.Contains(out, "WORD OWNERS") {
-		t.Fatalf("table lost below alerts:\n%s", out)
-	}
-}
-
 func TestRenderNarrowWidthClipsLines(t *testing.T) {
-	fr := diagFrame()
-	fr.Alerts = []string{"[crit] slowdown_regression db: a very long message that cannot fit forty columns"}
 	var buf bytes.Buffer
-	RenderWith(&buf, fr, RenderOptions{Width: 40})
+	RenderWith(&buf, diagFrame(), RenderOptions{Width: 40})
 	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		if n := len([]rune(line)); n > 40 {
 			t.Fatalf("line %d is %d cells wide: %q", i, n, line)
@@ -201,10 +172,6 @@ func TestRenderNarrowWidthClipsLines(t *testing.T) {
 	// clipped lines must carry the truncation marker.
 	if !strings.Contains(out, "…") {
 		t.Fatalf("no truncation markers at width 40:\n%s", out)
-	}
-	// The ALERT prefix survives clipping.
-	if !strings.Contains(out, "ALERT [crit]") {
-		t.Fatalf("alert row lost at narrow width:\n%s", out)
 	}
 }
 

@@ -37,10 +37,13 @@ func (pca) Run(c *harness.Ctx) (uint64, error) {
 	}
 
 	// Per-thread accumulators: cols sums + cols covariance-band partial
-	// products, padded to a 128-byte multiple.
+	// products, padded to a 128-byte multiple that leaves at least one
+	// 128-byte gap after the slot. A 256-byte slot in a 256-byte stride
+	// has no gap: shift the object and one worker's last words share a
+	// line with the next worker's first, which PREDATOR rightly predicts.
 	const slot = cols * 8 * 2
 	stride := uint64(wlutil.PaddedStride)
-	for stride < slot {
+	for stride <= slot {
 		stride += wlutil.PaddedStride
 	}
 	acc, err := main.Alloc(stride * uint64(c.Threads))
