@@ -248,8 +248,8 @@ func TestDashTraceWaterfall(t *testing.T) {
 			t.Fatalf("waterfall references external asset %q", banned)
 		}
 	}
-	// The waterfall is the only page left: it links nowhere, and the project
-	// pages, series and alerts are gone.
+	// The waterfall is predfleet's only page, so it links nowhere, and no
+	// project page, series or alerts route answers.
 	if strings.Contains(page, "href=") {
 		t.Fatalf("waterfall links to another page:\n%s", page)
 	}
