@@ -278,13 +278,14 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 
 	// Flight recording, decimated: every invalidation is recorded (they are
 	// the timeline's marks and the provenance evidence), but plain accesses
-	// only every flightStride-th — a Record costs three locked atomic ops
-	// (clock tick, ring cursor, slot store), and paying that on every sampled
-	// access would blow the 5% overhead envelope. The decimation counter is
-	// the recorded-ordinal already computed above, so the common path adds
-	// only a pointer load and a branch. The invalidation Add(1) return is
-	// unique per increment, so the == comparison flags the line exactly once
-	// — at the access whose invalidation reached the report threshold.
+	// only every flight.RecordStride-th — a Record costs three locked atomic
+	// ops (clock tick, ring cursor, slot store), and paying that on every
+	// sampled access would blow the 5% overhead envelope. The decimation
+	// counter is the recorded-ordinal already computed above, so the common
+	// path adds only a pointer load and a branch. The invalidation Add(1)
+	// return is unique per increment, so the == comparison flags the line
+	// exactly once — at the access whose invalidation reached the report
+	// threshold.
 	var tick uint64
 	if rec := t.rec.Load(); rec != nil && (invalidated || r&(flight.RecordStride-1) == 0) {
 		w := 0

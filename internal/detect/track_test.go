@@ -2,11 +2,13 @@ package detect
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"predator/internal/cacheline"
+	"predator/internal/obs/flight"
 )
 
 var geom64 = cacheline.MustGeometry(64)
@@ -365,6 +367,60 @@ func TestConcurrentHandleAccess(t *testing.T) {
 	}
 	if tr.Invalidations() == 0 {
 		t.Error("disjoint-word write ping-pong produced no invalidations (false sharing signature)")
+	}
+}
+
+// TestFlightDecimation pins the recording rule the flight recorder's
+// overhead budget rests on. On an armed track whose ring holds every record,
+// every invalidating access is recorded with its invalidation bit set, plain
+// accesses are recorded one in flight.RecordStride (by recorded ordinal), and
+// the flagged clock is the tick of the record of the access whose
+// invalidation reached the report threshold.
+func TestFlightDecimation(t *testing.T) {
+	const accesses, threshold = 4096, 10
+	// Unsampled, so every access is recorded in detail and its ordinal is n;
+	// a ring slot per access keeps every flight record.
+	tr := newTrack()
+	tr.ArmFlight(flight.NewRecorder(new(flight.Clock), accesses))
+	tr.SetReportThreshold(threshold)
+	rng := rand.New(rand.NewSource(3))
+	var want []flight.Record
+	var flagClock uint64
+	tid, invalidations, plain := 0, 0, 0
+	for n := 1; n <= accesses; n++ {
+		if rng.Intn(16) == 0 {
+			tid = 1 - tid // hand the line to the other thread now and then
+		}
+		word, write := rng.Intn(8), rng.Intn(2) == 0
+		inv := tr.HandleAccess(tid, tr.LineBase()+uint64(word*8), 8, write)
+		if !inv {
+			plain++
+			if n%flight.RecordStride != 0 {
+				continue
+			}
+		}
+		rec := flight.Record{Clock: uint64(len(want) + 1), TID: tid, Word: word,
+			Write: write, Invalidation: inv}
+		want = append(want, rec)
+		if inv {
+			if invalidations++; invalidations == threshold {
+				flagClock = rec.Clock
+			}
+		}
+	}
+	if invalidations < threshold || plain < 2*flight.RecordStride {
+		t.Fatalf("%d invalidations and %d plain accesses; the sequence must reach the threshold %d and span strides",
+			invalidations, plain, threshold)
+	}
+	got, salvaged := tr.FlightRecords()
+	if salvaged || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring holds %d records (salvaged=%v), want %d:\ngot  %+v\nwant %+v",
+			len(got), salvaged, len(want), got, want)
+	}
+	clock, _, flagged := tr.FlagInfo()
+	if !flagged || clock != flagClock {
+		t.Errorf("FlagInfo clock=%d flagged=%v, want the record of invalidation %d at clock %d",
+			clock, flagged, threshold, flagClock)
 	}
 }
 

@@ -6,9 +6,11 @@
 // Recorder keeps the tail of that interleaving: thread, word offset,
 // read/write, a global access clock, and whether the access invalidated the
 // line. Recorders are armed only when a line is promoted to detailed
-// tracking (the TrackingThreshold crossing), so cold lines pay nothing and
-// hot lines pay one shared atomic add plus one atomic store per recorded
-// access — inside the same 5% overhead envelope the rest of the
+// tracking (the TrackingThreshold crossing), so cold lines pay nothing. A
+// record costs three locked atomic operations (the shared clock add, the
+// ring cursor add, and the slot store), so hot lines record every
+// invalidating access but only one in RecordStride of the others, which
+// keeps recording inside the same 5% overhead envelope the rest of the
 // observability stack honors.
 //
 // Every record is packed into a single uint64 and published with one atomic
@@ -39,10 +41,14 @@ const MaxDepth = 1 << 16
 // RecordStride is the decimation callers apply to non-invalidating accesses
 // (a power of two): one in RecordStride ordinary accesses is recorded, while
 // invalidating accesses are always recorded. A Record costs three locked
-// atomic operations — clock tick, ring cursor, slot store — and paying that
-// on every sampled access would break the detector's 5% observability
-// overhead envelope; at stride 8 the measured hot-path cost is ~3%.
-const RecordStride = 8
+// atomic operations — clock tick, ring cursor, slot store — 27–29 ns in
+// isolation and about 40 ns inside the detector's hot loop on a 2-CPU Xeon
+// (Go 1.24), so paying it on every sampled access would break the
+// detector's 5% observability overhead envelope. On that host recording
+// cost the hot loop 6–10% at stride 8 and 2–4% at stride 32, of which 1–3%
+// is arming the recorders; at 32 the worst case is about 1.3 ns per access
+// (DESIGN §7, "Decimation").
+const RecordStride = 32
 
 // Record packing. A record is one uint64:
 //

@@ -1,22 +1,28 @@
 package predator_test
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	predator "predator"
 )
 
+// hotN is the number of stores one hot loop makes.
+const hotN = 500_000
+
 // hotLoop drives one thread through a write-heavy loop that keeps the
 // detector's full pipeline busy (tracked lines, sampling, invalidation
 // recording) and returns the per-access cost.
 func hotLoop(t testing.TB, o *predator.Observer) time.Duration {
-	return hotLoopCfg(t, o, nil)
+	_, th, addr := hotDetector(t, o, nil)
+	return hotStores(th, addr) / hotN
 }
 
-// hotLoopCfg is hotLoop with a runtime-config override (the flight-recorder
-// overhead contract compares recording-on against recording-off).
-func hotLoopCfg(t testing.TB, o *predator.Observer, rc *predator.RuntimeConfig) time.Duration {
+// hotDetector builds the hot loop's detector (a 4 MiB heap, optionally
+// observed and configured) and allocates its 64 KiB object.
+func hotDetector(t testing.TB, o *predator.Observer, rc *predator.RuntimeConfig) (*predator.Detector, *predator.Thread, uint64) {
 	t.Helper()
 	d, err := predator.New(predator.Options{HeapSize: 1 << 22, Observer: o, Runtime: rc})
 	if err != nil {
@@ -27,16 +33,17 @@ func hotLoopCfg(t testing.TB, o *predator.Observer, rc *predator.RuntimeConfig) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 500_000
+	return d, th, addr
+}
+
+// hotStores runs the hot loop, hotN 8-byte stores sweeping the object, and
+// returns its total time.
+func hotStores(th *predator.Thread, addr uint64) time.Duration {
 	start := time.Now()
-	for i := 0; i < n; i++ {
+	for i := 0; i < hotN; i++ {
 		th.Store64(addr+uint64(i%8192)*8, uint64(i))
 	}
-	elapsed := time.Since(start) / n
-	if rc != nil && rc.FlightDepth != predator.FlightDisabled && d.Stats().TrackedLines == 0 {
-		t.Fatal("hot loop tracked no lines; the flight-overhead measurement needs armed recorders")
-	}
-	return elapsed
+	return time.Since(start)
 }
 
 // TestNoSinkObserverOverhead is the observability subsystem's performance
@@ -112,38 +119,61 @@ func TestSelfProfileOverhead(t *testing.T) {
 
 // TestFlightRecorderOverhead extends the contract to the flight recorder:
 // every tracked line in the hot loop carries an armed ring recorder (the
-// default), and recording one packed word per sampled access must stay
-// within the same 5% envelope relative to recording disabled. This is the
-// arming rule's performance half: recorders only exist past
-// TrackingThreshold, and even then cost one atomic store per access.
+// default), and recording must stay within the same 5% envelope relative to
+// recording disabled. This is the arming rule's performance half: recorders
+// only exist past TrackingThreshold, and even then a line records its
+// invalidating accesses and one in flight.RecordStride of the others, each
+// record costing three locked atomic operations.
+//
+// One configuration's loop time varies by far more than 5% from run to run
+// on a small host, so the estimator is built to cancel that drift rather
+// than filter it: each pair times one whole loop of each arm back to back,
+// alternating which arm runs first, with the previous loop's garbage
+// collected before each timed loop; the assertion is on the median of the
+// per-pair ratios.
 func TestFlightRecorderOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const trials, maxAttempts, limit = 5, 3, 1.05
+	const pairs, maxAttempts, limit = 15, 3, 1.05
 	off := predator.DefaultRuntimeConfig()
 	off.FlightDepth = predator.FlightDisabled
 	on := predator.DefaultRuntimeConfig() // FlightDepth 0 = recording on at default depth
 	for attempt := 1; ; attempt++ {
-		base, recording := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < trials; i++ {
-			if d := hotLoopCfg(t, nil, &off); d < base {
-				base = d
+		ratios := make([]float64, pairs)
+		for i := range ratios {
+			var base, recording time.Duration
+			if i%2 == 0 {
+				base, recording = flightLoop(t, off), flightLoop(t, on)
+			} else {
+				recording, base = flightLoop(t, on), flightLoop(t, off)
 			}
-			if d := hotLoopCfg(t, nil, &on); d < recording {
-				recording = d
-			}
+			ratios[i] = float64(recording) / float64(base)
 		}
-		ratio := float64(recording) / float64(base)
-		t.Logf("attempt %d: base=%v recording=%v ratio=%.3f", attempt, base, recording, ratio)
+		sort.Float64s(ratios)
+		ratio := ratios[pairs/2]
+		t.Logf("attempt %d: median ratio=%.3f (min %.3f, max %.3f over %d pairs)",
+			attempt, ratio, ratios[0], ratios[pairs-1], pairs)
 		if ratio <= limit {
 			return
 		}
 		if attempt >= maxAttempts {
-			t.Fatalf("flight recorder overhead %.1f%% exceeds %.0f%% (base=%v recording=%v)",
-				(ratio-1)*100, (limit-1)*100, base, recording)
+			t.Fatalf("flight recorder overhead %.1f%% exceeds %.0f%% (median of %d paired ratios)",
+				(ratio-1)*100, (limit-1)*100, pairs)
 		}
 	}
+}
+
+// flightLoop times one whole hot loop under rc, after collecting the
+// garbage earlier loops left so no collection lands inside the timed loop.
+func flightLoop(t *testing.T, rc predator.RuntimeConfig) time.Duration {
+	d, th, addr := hotDetector(t, nil, &rc)
+	runtime.GC()
+	elapsed := hotStores(th, addr)
+	if rc.FlightDepth != predator.FlightDisabled && d.Stats().TrackedLines == 0 {
+		t.Fatal("hot loop tracked no lines; the flight-overhead measurement needs armed recorders")
+	}
+	return elapsed
 }
 
 // BenchmarkHotPathNilObserver and BenchmarkHotPathMetricsObserver publish
