@@ -69,7 +69,9 @@ func startDiagRun(t *testing.T, args ...string) string {
 // shipped binary: run a workload with -diag-addr, scrape every endpoint,
 // and render a predtop frame against the live server.
 func TestPredatorDiagServe(t *testing.T) {
-	addr := startDiagRun(t)
+	// Deterministic: the ww_share workers must interleave for /findings to
+	// have findings, however the host schedules goroutines.
+	addr := startDiagRun(t, "-deterministic")
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	get := func(path string) (int, string, []byte) {

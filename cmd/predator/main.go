@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"predator/internal/core"
-	"predator/internal/elide"
 	"predator/internal/fixer"
 	"predator/internal/fleet"
 	"predator/internal/harness"
@@ -57,7 +56,7 @@ func main() {
 		maxTracked = flag.Int("max-tracked-lines", 0, "resource governor budget for detailed tracking (0 = unlimited)")
 		maxVirtual = flag.Int("max-virtual-lines", 0, "resource governor budget for virtual lines (0 = unlimited)")
 		strict     = flag.Bool("strict", true, "panic on out-of-heap accesses (false: absorb them as recoverable faults)")
-		elidePath  = flag.String("elide", "", "predlint elision manifest (-elide-out): skip instrumentation on provably-safe objects")
+		elidePath  = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
 	exports := agent.RegisterFlags(flag.CommandLine)
@@ -127,14 +126,12 @@ func main() {
 			opts.Offset = *offset
 		}
 	}
-	if *elidePath != "" {
-		manifest, err := elide.Load(*elidePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predator: -elide: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Elide = manifest
+	manifest, err := harness.ElideFlag(*elidePath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "predator: -elide: %v\n", err)
+		os.Exit(2)
 	}
+	opts.Elide = manifest
 
 	sess, err := exports.Start(agent.Config{
 		Tool:          "predator",

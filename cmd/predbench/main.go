@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strings"
 
-	"predator/internal/elide"
 	"predator/internal/eval"
 	"predator/internal/fleet"
 	"predator/internal/harness"
@@ -40,7 +39,7 @@ func main() {
 		benchComp  = flag.String("bench-compare", "", "re-measure the workloads in this baseline -bench-json file and fail on slowdown-ratio regression or finding-count drift")
 		benchTol   = flag.Float64("bench-tolerance", eval.DefaultBenchTolerance, "relative slowdown-ratio growth -bench-compare tolerates before failing")
 		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler (reproducible finding counts; required for a drift-free -bench-compare gate; excludes workloads that block across threads)")
-		elidePath  = flag.String("elide", "", "predlint elision manifest (-elide-out): skip instrumentation on provably-safe objects in every detection run")
+		elidePath  = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file, applied to every detection run")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
 	exports := agent.RegisterFlags(flag.CommandLine)
@@ -74,14 +73,12 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Repeats = *repeats
 	cfg.Deterministic = *benchDet
-	if *elidePath != "" {
-		manifest, err := elide.Load(*elidePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: -elide: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Elide = manifest
+	manifest, err := harness.ElideFlag(*elidePath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "predbench: -elide: %v\n", err)
+		os.Exit(2)
 	}
+	cfg.Elide = manifest
 	var baseline *eval.BenchDoc
 	if *benchComp != "" {
 		var err error

@@ -36,7 +36,10 @@ import (
 )
 
 // saveManifest sorts the collected elision entries into a stable order and
-// writes the versioned manifest.
+// writes the versioned manifest. The proofs depend only on the analyzed
+// source and the line size, so the manifest names its writer without a
+// build version: regenerating a committed manifest from unchanged source
+// reproduces it byte for byte, whichever toolchain runs predlint.
 func saveManifest(path string, cfg staticfs.Config, entries []elide.Entry) error {
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
@@ -61,7 +64,7 @@ func saveManifest(path string, cfg staticfs.Config, entries []elide.Entry) error
 	m := &elide.Manifest{
 		Version:  elide.Version,
 		LineSize: lineSize,
-		Tool:     "predlint " + obs.GetBuildInfo().String(),
+		Tool:     "predlint",
 		Entries:  entries,
 	}
 	if m.Entries == nil {

@@ -1,6 +1,7 @@
 package cmd_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -203,5 +204,28 @@ func TestPredlintFixRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(src), "[80]byte") {
 		t.Errorf("-fix did not insert the pad:\n%s", src)
+	}
+}
+
+// TestBuiltinElideManifestFresh: the elision manifest the harness embeds
+// and binds by default is byte for byte what predlint -elide-out writes for
+// the in-tree workloads now. A stale file:line could bind a different
+// allocation and hide a finding.
+func TestBuiltinElideManifestFresh(t *testing.T) {
+	fresh := filepath.Join(t.TempDir(), "elide.json")
+	out, err := runIn(t, "..", "predlint", "-elide-out", fresh, "./internal/workloads/...")
+	if err != nil {
+		t.Fatalf("predlint over the workloads: %v\n%s", err, out)
+	}
+	want, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join("..", "internal", "harness", "elide_manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("internal/harness/elide_manifest.json is stale; regenerate it with go generate ./internal/harness\n--- committed:\n%s\n--- fresh:\n%s", got, want)
 	}
 }

@@ -10,7 +10,108 @@ import (
 	"predator/internal/mem"
 )
 
-// Binder attaches manifest entries to live simulated-heap objects and
+// Index is a manifest compiled for binding: its bindable entries keyed by
+// global label and by allocation site, and a cache of the runtime sites
+// already resolved against them. It holds no heap state, so one Index can
+// serve every run in a process; each run's Binder keeps only the spans it
+// bound. Safe for concurrent use.
+type Index struct {
+	lineSize uint64
+	entries  int
+
+	byLabel map[string]string // global label -> mode
+	sites   []siteRule        // callsite-keyed entries
+
+	mu    sync.Mutex
+	cache map[string]string // resolved runtime callsite -> mode ("" = no match)
+}
+
+type siteRule struct {
+	site string // normalized "file:line"
+	mode string
+}
+
+// Compile validates the manifest's schema and indexes its bindable entries.
+// The line size is checked later, against the heap a Binder is made for.
+func Compile(m *Manifest) (*Index, error) {
+	if err := m.Validate(m.LineSize); err != nil {
+		return nil, err
+	}
+	x := &Index{
+		lineSize: m.LineSize,
+		entries:  len(m.Entries),
+		byLabel:  map[string]string{},
+		cache:    map[string]string{},
+	}
+	for _, e := range m.Entries {
+		if e.Label != "" {
+			x.byLabel[e.Label] = e.Mode
+		}
+		if e.Callsite != "" {
+			x.sites = append(x.sites, siteRule{site: e.Callsite, mode: e.Mode})
+		}
+	}
+	return x, nil
+}
+
+// LineSize returns the cache line size the manifest's proofs assumed.
+func (x *Index) LineSize() uint64 { return x.lineSize }
+
+// Entries returns how many entries the manifest holds, advisory ones
+// included.
+func (x *Index) Entries() int { return x.entries }
+
+// Binder makes an empty binder for a heap with the given geometry. A
+// line-size mismatch is a staleness error: the proofs were made for other
+// lines and must not bind. marginLines is the per-end safety margin in
+// whole lines; prediction with line-size factor F needs F-1 (the harness
+// passes max(LineSizeFactors)-1, so a factor-2 doubled line can never
+// straddle an elided line and a foreign one).
+func (x *Index) Binder(geom cacheline.Geometry, marginLines int) (*Binder, error) {
+	if x.lineSize != geom.Size() {
+		return nil, lineSizeError(x.lineSize, geom.Size())
+	}
+	if marginLines < 0 {
+		return nil, fmt.Errorf("elide: negative margin %d", marginLines)
+	}
+	return &Binder{
+		idx:      x,
+		lineSize: geom.Size(),
+		margin:   uint64(marginLines) * geom.Size(),
+	}, nil
+}
+
+// modeFor resolves the entry mode for an object: globals match by label,
+// heap objects by allocation-callsite site matching (cached per resolved
+// runtime site — every allocation from one source line shares it).
+func (x *Index) modeFor(o mem.Object) string {
+	if o.Global {
+		return x.byLabel[o.Label]
+	}
+	if len(x.sites) == 0 || o.Callsite.IsZero() {
+		return ""
+	}
+	leaf := o.Callsite.Leaf()
+	site := fmt.Sprintf("%s:%d", leaf.File, leaf.Line)
+	x.mu.Lock()
+	mode, ok := x.cache[site]
+	x.mu.Unlock()
+	if ok {
+		return mode
+	}
+	for _, r := range x.sites {
+		if SameSite(r.site, site) {
+			mode = r.mode
+			break
+		}
+	}
+	x.mu.Lock()
+	x.cache[site] = mode
+	x.mu.Unlock()
+	return mode
+}
+
+// Binder attaches an Index's entries to one heap's live objects and
 // answers the front-end's hot-path question: "is this access provably
 // uninteresting?". Entries bind by allocation callsite (heap objects) or by
 // label (globals); the bound address spans are clipped to lines wholly
@@ -22,14 +123,11 @@ import (
 // lookups are a lock-free binary search, rebinds (alloc/free hooks, cold
 // path) serialize on a mutex.
 type Binder struct {
+	idx      *Index
 	lineSize uint64
 	margin   uint64 // bytes trimmed from each end of the interior span
 
-	byLabel map[string]string // global label -> mode
-	sites   []siteRule        // callsite-keyed entries
-
 	mu    sync.Mutex
-	cache map[string]string // resolved runtime callsite -> mode ("" = no match)
 	spans atomic.Pointer[[]span]
 
 	_      [56]byte
@@ -38,44 +136,20 @@ type Binder struct {
 	active atomic.Uint64 // spans currently installed
 }
 
-type siteRule struct {
-	site string // normalized "file:line"
-	mode string
-}
-
 // span is one elidable address range. readsOnly spans elide loads only.
 type span struct {
 	start, end uint64
 	readsOnly  bool
 }
 
-// NewBinder validates the manifest against the heap geometry and indexes
-// its bindable entries. marginLines is the per-end safety margin in whole
-// lines; prediction with line-size factor F needs F-1 (the harness passes
-// max(LineSizeFactors)-1, so a factor-2 doubled line can never straddle an
-// elided line and a foreign one).
+// NewBinder compiles the manifest and makes a binder for the geometry (see
+// Compile and Index.Binder).
 func NewBinder(m *Manifest, geom cacheline.Geometry, marginLines int) (*Binder, error) {
-	if err := m.Validate(geom.Size()); err != nil {
+	x, err := Compile(m)
+	if err != nil {
 		return nil, err
 	}
-	if marginLines < 0 {
-		return nil, fmt.Errorf("elide: negative margin %d", marginLines)
-	}
-	b := &Binder{
-		lineSize: geom.Size(),
-		margin:   uint64(marginLines) * geom.Size(),
-		byLabel:  map[string]string{},
-		cache:    map[string]string{},
-	}
-	for _, e := range m.Entries {
-		if e.Label != "" {
-			b.byLabel[e.Label] = e.Mode
-		}
-		if e.Callsite != "" {
-			b.sites = append(b.sites, siteRule{site: e.Callsite, mode: e.Mode})
-		}
-	}
-	return b, nil
+	return x.Binder(geom, marginLines)
 }
 
 // Attach subscribes the binder to the heap's alloc/free hooks and binds the
@@ -90,31 +164,32 @@ func (b *Binder) Attach(h *mem.Heap) {
 }
 
 // Bind matches one object against the manifest and, on a hit, installs its
-// interior elidable span. Safe for concurrent use (heap hooks run outside
-// the heap lock).
+// interior elidable span. An object too small to keep an interior past the
+// margins is skipped before its callsite is resolved. Safe for concurrent
+// use (heap hooks run outside the heap lock).
 func (b *Binder) Bind(o mem.Object) {
-	mode := b.modeFor(o)
-	if mode == "" {
-		return
-	}
 	lo := b.alignUp(o.Start) + b.margin
 	hi := b.alignDown(o.End())
 	if hi < b.margin || lo >= hi-b.margin {
 		return // object too small to have a protected interior
 	}
 	hi -= b.margin
+	mode := b.idx.modeFor(o)
+	if mode == "" {
+		return
+	}
 	b.bound.Add(1)
 	b.insert(span{start: lo, end: hi, readsOnly: mode == ModeReads})
 }
 
 // Unbind removes any spans inside a freed object. The address range may be
-// recycled for an unproven object, so elision must stop immediately.
+// recycled for an unproven object, so elision must stop immediately. A free
+// that touches no span (the common case) takes no lock and copies nothing.
 func (b *Binder) Unbind(start, size uint64) {
-	cur := b.spans.Load()
-	if cur == nil {
+	end := start + size
+	if !overlapsAny(b.spans.Load(), start, end) {
 		return
 	}
-	end := start + size
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	old := *b.spans.Load()
@@ -125,10 +200,21 @@ func (b *Binder) Unbind(start, size uint64) {
 		}
 		next = append(next, s)
 	}
-	if len(next) != len(old) {
-		b.spans.Store(&next)
-		b.active.Store(uint64(len(next)))
+	b.spans.Store(&next)
+	b.active.Store(uint64(len(next)))
+}
+
+// overlapsAny reports whether any span in *sp intersects [start, end).
+func overlapsAny(sp *[]span, start, end uint64) bool {
+	if sp == nil {
+		return false
 	}
+	for _, s := range *sp {
+		if s.start < end && start < s.end {
+			return true
+		}
+	}
+	return false
 }
 
 // Elidable reports whether the whole access [addr, addr+size) falls inside
@@ -140,12 +226,21 @@ func (b *Binder) Elidable(addr, size uint64, isWrite bool) bool {
 		return false
 	}
 	spans := *sp
-	// Rightmost span starting at or before addr.
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].start > addr }) - 1
-	if i < 0 {
+	// Binary search for the first span starting after addr; the span
+	// before it is the only one that can contain the access.
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if spans[m].start > addr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == 0 {
 		return false
 	}
-	s := spans[i]
+	s := spans[lo-1]
 	if addr+size > s.end {
 		return false
 	}
@@ -157,36 +252,6 @@ func (b *Binder) Bound() uint64 { return b.bound.Load() }
 
 // Active returns how many elidable spans are currently installed.
 func (b *Binder) Active() uint64 { return b.active.Load() }
-
-// modeFor resolves the entry mode for an object: globals match by label,
-// heap objects by allocation-callsite site matching (cached per resolved
-// runtime site — every allocation from one source line shares it).
-func (b *Binder) modeFor(o mem.Object) string {
-	if o.Global {
-		return b.byLabel[o.Label]
-	}
-	if len(b.sites) == 0 || o.Callsite.IsZero() {
-		return ""
-	}
-	leaf := o.Callsite.Leaf()
-	site := fmt.Sprintf("%s:%d", leaf.File, leaf.Line)
-	b.mu.Lock()
-	mode, ok := b.cache[site]
-	b.mu.Unlock()
-	if ok {
-		return mode
-	}
-	for _, r := range b.sites {
-		if SameSite(r.site, site) {
-			mode = r.mode
-			break
-		}
-	}
-	b.mu.Lock()
-	b.cache[site] = mode
-	b.mu.Unlock()
-	return mode
-}
 
 // insert adds a span copy-on-write, keeping the slice sorted by start.
 func (b *Binder) insert(s span) {

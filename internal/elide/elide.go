@@ -92,7 +92,7 @@ func (m *Manifest) Validate(lineSize uint64) error {
 		return fmt.Errorf("elide: manifest version %d, this binary reads version %d (regenerate with predlint -elide-out)", m.Version, Version)
 	}
 	if m.LineSize != lineSize {
-		return fmt.Errorf("elide: manifest assumes %d-byte lines, runtime uses %d (regenerate with predlint -elide-out -line %d)", m.LineSize, lineSize, lineSize)
+		return lineSizeError(m.LineSize, lineSize)
 	}
 	for i, e := range m.Entries {
 		switch e.Proof {
@@ -107,6 +107,11 @@ func (m *Manifest) Validate(lineSize uint64) error {
 		}
 	}
 	return nil
+}
+
+// lineSizeError reports a manifest proven for other cache lines.
+func lineSizeError(manifest, runtime uint64) error {
+	return fmt.Errorf("elide: manifest assumes %d-byte lines, runtime uses %d (regenerate with predlint -elide-out -line %d)", manifest, runtime, runtime)
 }
 
 // Bindable counts the entries the runtime can attach to live objects.
@@ -136,12 +141,21 @@ func Load(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("elide: %s: %v", path, err)
+	}
+	return m, nil
+}
+
+// Parse decodes a manifest document and checks its schema version.
+func Parse(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("elide: parsing %s: %v", path, err)
+		return nil, fmt.Errorf("parsing manifest: %v", err)
 	}
 	if m.Version != Version {
-		return nil, fmt.Errorf("elide: %s: manifest version %d, this binary reads version %d", path, m.Version, Version)
+		return nil, fmt.Errorf("manifest version %d, this binary reads version %d", m.Version, Version)
 	}
 	return &m, nil
 }

@@ -2,6 +2,7 @@ package elide
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"predator/internal/cacheline"
@@ -214,3 +215,59 @@ func TestBinderRejectsStaleManifest(t *testing.T) {
 		t.Error("geometry-mismatched manifest accepted")
 	}
 }
+
+// TestIndexSharedAcrossBinders: one compiled Index serves binders on
+// several heaps at once, as the harness's built-in manifest serves
+// concurrent runs, and each binder keeps only its own heap's spans.
+func TestIndexSharedAcrossBinders(t *testing.T) {
+	geom := cacheline.MustGeometry(64)
+	probe, err := mem.NewHeap(mem.Config{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := provenAlloc(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _ := probe.FindObject(addr)
+	leaf := o.Callsite.Leaf()
+	x, err := Compile(&Manifest{Version: Version, LineSize: 64,
+		Entries: []Entry{{Proof: ProofReadonly, Mode: ModeReads, Callsite: FormatSite(leaf.File, leaf.Line)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heaps, objects = 4, 8
+	var wg sync.WaitGroup
+	for i := 0; i < heaps; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := mem.NewHeap(mem.Config{Size: 1 << 20})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, err := x.Binder(geom, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b.Attach(h)
+			for j := 0; j < objects; j++ {
+				if _, err := h.Alloc(0, 1024, 0); err != nil { // not the proven site
+					t.Error(err)
+				}
+			}
+			if _, err := provenAlloc(h); err != nil {
+				t.Error(err)
+			}
+			if b.Bound() != 1 || b.Active() != 1 {
+				t.Errorf("Bound = %d, Active = %d, want 1 and 1", b.Bound(), b.Active())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// provenAlloc is the allocation site TestIndexSharedAcrossBinders proves.
+func provenAlloc(h *mem.Heap) (uint64, error) { return h.Alloc(0, 1024, 0) }

@@ -52,7 +52,7 @@ func PolicyAblation(cfg Config) ([]PolicyRow, error) {
 			res, err := harness.Execute(w, harness.Options{
 				Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
 				Buggy: true, Runtime: &rc, Policy: p.policy,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 			})
 			if err != nil {
 				return nil, err
@@ -113,7 +113,7 @@ func ThresholdAblation(cfg Config) ([]ThresholdRow, error) {
 		res, err := harness.Execute(w, harness.Options{
 			Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
 			Buggy: true, Runtime: &rc,
-			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 		})
 		if err != nil {
 			return nil, err
@@ -169,7 +169,7 @@ func GrainAblation(cfg Config) ([]GrainRow, error) {
 			Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
 			Buggy: true, Runtime: &rc,
 			Deterministic: true, DeterministicGrain: grain,
-			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 		})
 		if err != nil {
 			return nil, err

@@ -54,9 +54,10 @@ type Config struct {
 	// finding-drift check needs run-to-run stable counts. Not usable with
 	// workloads that block across threads (boost).
 	Deterministic bool
-	// Elide, when non-nil, is a predlint elision manifest applied to every
-	// detection run (never to Original-mode timing, which has no
-	// instrumentation to skip).
+	// Elide selects the elision manifest every detection run binds (see
+	// harness.Options.Elide): nil is the built-in manifest, harness.ElideOff
+	// disables elision. Original-mode timing and the cache simulator's
+	// capture never elide.
 	Elide *elide.Manifest
 	// Span, when non-nil, is the parent span every detection run's
 	// eval.detect span nests under — typically the CLI's root span. The

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,51 +101,77 @@ func medianDuration(repeats int, fn func() (time.Duration, error)) (time.Duratio
 		}
 		ds = append(ds, d)
 	}
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	return ds[len(ds)/2], nil
+	return median(ds), nil
 }
+
+// median returns the middle of ds (the upper middle for an even count),
+// sorting ds in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
+}
+
+// fig7Modes is Figure 7's legend, in its column order.
+var fig7Modes = [...]harness.Mode{harness.ModeNative, harness.ModeDetect, harness.ModePredict}
 
 // Figure7 measures each workload under Original / PREDATOR-NP / PREDATOR.
 // The paper reports ~6x average overhead; the exact multiple here depends on
 // the host, but instrumented modes must dominate Original and prediction
 // must cost little over detection.
+//
+// Each row first runs every mode once untimed, so no mode pays the row's
+// cold start. A repeat then times the modes in rounds of one run each, the
+// first mode rotating from round to round, until every mode has run three
+// times and for 5 ms in total (at most eight rounds), so very short
+// workloads (aget) are not pure timer noise and a stretch of host load
+// falls on every mode alike. A mode's time in a repeat is its fastest run,
+// since host noise only ever adds time; the row reports each mode's median
+// over repeats.
 func Figure7(cfg Config, workloads []string) ([]Fig7Row, error) {
+	const (
+		minRounds = 3
+		maxRounds = 8
+		minTotal  = 5 * time.Millisecond
+	)
 	var rows []Fig7Row
 	for _, name := range workloads {
-		timeMode := func(mode harness.Mode) (time.Duration, error) {
-			return medianDuration(cfg.Repeats, func() (time.Duration, error) {
-				// Accumulate runs until a stable-enough total so very
-				// short workloads (aget) are not pure timer noise.
-				const minTotal = 5 * time.Millisecond
-				var total time.Duration
-				runs := 0
-				for total < minTotal && runs < 8 {
-					res, err := detect(cfg, name, mode, true, harness.UseDefaultOffset)
-					if err != nil {
-						return 0, err
-					}
-					total += res.Duration
-					runs++
+		run := func(mode harness.Mode) (time.Duration, error) {
+			runtime.GC() // no run pays for collecting the last one's heap
+			res, err := detect(cfg, name, mode, true, harness.UseDefaultOffset)
+			if err != nil {
+				return 0, err
+			}
+			return res.Duration, nil
+		}
+		for _, mode := range fig7Modes {
+			if _, err := run(mode); err != nil {
+				return nil, err
+			}
+		}
+		var times [len(fig7Modes)][]time.Duration
+		for r := 0; r < max(cfg.Repeats, 1); r++ {
+			var total, fastest [len(fig7Modes)]time.Duration
+			for round := 0; round < maxRounds; round++ {
+				if round >= minRounds && slices.Min(total[:]) >= minTotal {
+					break
 				}
-				return total / time.Duration(runs), nil
-			})
+				for k := range fig7Modes {
+					i := (round + k) % len(fig7Modes)
+					d, err := run(fig7Modes[i])
+					if err != nil {
+						return nil, err
+					}
+					total[i] += d
+					if round == 0 || d < fastest[i] {
+						fastest[i] = d
+					}
+				}
+			}
+			for i, d := range fastest {
+				times[i] = append(times[i], d)
+			}
 		}
-		orig, err := timeMode(harness.ModeNative)
-		if err != nil {
-			return nil, err
-		}
-		np, err := timeMode(harness.ModeDetect)
-		if err != nil {
-			return nil, err
-		}
-		full, err := timeMode(harness.ModePredict)
-		if err != nil {
-			return nil, err
-		}
+		orig, np, full := median(times[0]), median(times[1]), median(times[2])
 		row := Fig7Row{Workload: name, Original: orig, NP: np, Full: full}
 		if orig > 0 {
 			row.OverheadNP = float64(np) / float64(orig)
@@ -198,7 +226,7 @@ func Figure8(cfg Config, workloads []string) ([]Fig8Row, error) {
 			res, err := harness.Execute(w, harness.Options{
 				Mode: mode, Threads: cfg.Threads, Scale: cfg.Scale,
 				Buggy: true, Runtime: &rc, MeasureMemory: true,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 			})
 			if err != nil {
 				return 0, err
@@ -306,7 +334,7 @@ func Figure10(cfg Config) ([]Fig10Row, error) {
 				res, err := harness.Execute(w, harness.Options{
 					Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
 					Buggy: true, Offset: offset, Runtime: &rc,
-					Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+					Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 				})
 				if err != nil {
 					return 0, err
@@ -319,7 +347,7 @@ func Figure10(cfg Config) ([]Fig10Row, error) {
 			res, err := harness.Execute(w, harness.Options{
 				Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
 				Buggy: true, Offset: offset, Runtime: &rc,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime,
+				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
 			})
 			if err != nil {
 				return nil, err

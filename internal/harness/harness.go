@@ -254,11 +254,14 @@ type Options struct {
 	// it gets nil before the baseline is taken, so a runtime the hook kept
 	// from an earlier run does not count into this run's memory.
 	OnRuntime func(*core.Runtime)
-	// Elide, when non-nil, is a predlint elision manifest: accesses to
-	// objects the static prover showed cannot contribute invalidations are
-	// dropped before delivery. The binder's margin is sized to the largest
-	// prediction factor, so elision never changes finding counts — only
-	// how much instrumentation the safe objects pay.
+	// Elide selects the predlint elision manifest: accesses to objects the
+	// static prover showed cannot contribute invalidations are dropped
+	// before delivery. Nil binds the built-in manifest for the in-tree
+	// workloads when the sink is the detection runtime and the heap has
+	// 64-byte lines; ElideOff disables elision; any other manifest binds to
+	// every sink. The binder's margin is sized to the largest prediction
+	// factor, so elision never changes finding counts — only how much
+	// instrumentation the safe objects pay.
 	Elide *elide.Manifest
 	// Span, when non-nil, is the parent span this execution's pipeline
 	// spans (harness.setup, elide.bind, harness.workload, report.collect)
@@ -319,7 +322,7 @@ type Result struct {
 	MemAfter  uint64
 
 	// Elided counts accesses dropped by the static elision fast path
-	// (zero without Options.Elide).
+	// (zero when no manifest bound).
 	Elided uint64
 }
 
@@ -442,10 +445,14 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 		in.SetStrict(*opts.Strict)
 	}
 	setup.End()
-	if opts.Elide != nil && sink != nil {
+	idx, err := elisionIndex(opts, h, sink)
+	if err != nil {
+		return nil, fmt.Errorf("harness: elision manifest: %w", err)
+	}
+	if idx != nil {
 		esp := tracer.Start("elide.bind", opts.Span)
-		esp.SetAttr("entries", uint64(len(opts.Elide.Entries)))
-		binder, berr := elide.NewBinder(opts.Elide, h.Geometry(), elideMargin(opts))
+		esp.SetAttr("entries", uint64(idx.Entries()))
+		binder, berr := idx.Binder(h.Geometry(), elideMargin(opts))
 		if berr != nil {
 			esp.End()
 			return nil, fmt.Errorf("harness: elision manifest: %w", berr)

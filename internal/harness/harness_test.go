@@ -75,7 +75,11 @@ var testRuntimeConfig = func() (c core.Config) {
 }()
 
 func TestExecuteBuggyDetects(t *testing.T) {
-	res, err := Execute(fakeWorkload{name: "fw1"}, testOpts(ModePredict, true))
+	// Deterministic: the workers must interleave on the shared line however
+	// the host schedules goroutines.
+	opts := testOpts(ModePredict, true)
+	opts.Deterministic = true
+	res, err := Execute(fakeWorkload{name: "fw1"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +334,7 @@ func TestElisionPreservesDeterministicFindings(t *testing.T) {
 	opts := testOpts(ModePredict, true)
 	opts.Deterministic = true
 	opts.DeterministicGrain = 8
+	opts.Elide = ElideOff
 
 	base, err := Execute(elideSafetyWorkload{name: "es_base"}, opts)
 	if err != nil {

@@ -104,3 +104,53 @@ func TestSetElisionNilUninstalls(t *testing.T) {
 		t.Errorf("elided=%d delivered=%d after uninstall, want 0, 1", in.Elided(), len(rec.events))
 	}
 }
+
+// TestElidedCountPerThread: concurrent threads count elided accesses in
+// their own state and publish in batches. Mid-run the registry lags by less
+// than obs.SyncBatch per thread; once the workers have joined, Elided and
+// the registry counter are exact.
+func TestElidedCountPerThread(t *testing.T) {
+	h, err := mem.NewHeap(mem.Config{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(h, &recorder{}, Policy{})
+	o := obs.New(obs.NewRegistry(), nil)
+	in.Observe(o)
+	addr, err := h.Alloc(0, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.SetElision(&rangeElider{lo: addr, hi: addr + 128})
+	c := o.Metrics().Counter("predator_events_elided_total", "")
+
+	const workers, perWorker = 4, 3*obs.SyncBatch + 17
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		th := in.NewThread("w")
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < perWorker; i++ {
+				th.Load64(addr)
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	const want = workers * perWorker
+	if got := c.Value(); got > want || want-got >= workers*obs.SyncBatch {
+		t.Errorf("registry before flush = %d, want within %d below %d", got, workers*obs.SyncBatch, want)
+	}
+	if got := in.Elided(); got != want {
+		t.Errorf("Elided = %d, want %d", got, want)
+	}
+	in.FlushMetrics()
+	if got := c.Value(); got != want {
+		t.Errorf("registry after flush = %d, want %d", got, want)
+	}
+	in.FlushMetrics()
+	if got := c.Value(); got != want {
+		t.Errorf("registry after a second flush = %d, want %d", got, want)
+	}
+}

@@ -104,9 +104,11 @@ type Instrumenter struct {
 	policy Policy
 	elider Elider // static elision fast path; nil = no manifest loaded
 
-	// tid → label, for timeline track naming. NewThread is cold path.
-	tmu    sync.Mutex
-	tnames map[int]string
+	// tid → label, for timeline track naming, and every thread minted, for
+	// folding their unpublished elided counts. NewThread is cold path.
+	tmu     sync.Mutex
+	tnames  map[int]string
+	threads []*Thread
 
 	// predlint padcheck: pads keep each contended counter on its own cache line.
 	_          [40]byte
@@ -122,7 +124,7 @@ type Instrumenter struct {
 	_          [56]byte
 	faults     atomic.Uint64 // out-of-heap accesses absorbed (non-strict)
 	_          [56]byte
-	elided     atomic.Uint64 // events dropped by the static elision fast path
+	elided     atomic.Uint64 // elided events the threads have published (see Thread.elided)
 
 	// Observability (nil when unobserved; set via Observe before threads
 	// run). Counters are batched: notify syncs the registry every
@@ -177,16 +179,31 @@ func (in *Instrumenter) Observe(o *obs.Observer) {
 func (in *Instrumenter) SetElision(e Elider) { in.elider = e }
 
 // Elided returns the number of events dropped by the static elision fast
-// path.
-func (in *Instrumenter) Elided() uint64 { return in.elided.Load() }
+// path: what the threads published plus each thread's unpublished
+// remainder. It reads those remainders, so it is exact, and race-free, once
+// the goroutines that used the threads have joined the caller; the registry
+// counter is what a mid-run reader sees.
+func (in *Instrumenter) Elided() uint64 {
+	n := in.elided.Load()
+	in.tmu.Lock()
+	for _, t := range in.threads {
+		n += t.elided
+	}
+	in.tmu.Unlock()
+	return n
+}
 
-// FlushMetrics pushes the exact delivered/suppressed totals into the
+// FlushMetrics pushes the exact delivered/suppressed/elided totals into the
 // registry; the notify hot path batches pushes to every obs.SyncBatch-th
-// event. Safe to call on an unobserved instrumenter (no-op).
+// event (per thread, for elided events). The elided total reads the
+// threads' remainders as Elided does, so call it once their goroutines have
+// joined. Safe to call on an unobserved instrumenter (no-op).
 func (in *Instrumenter) FlushMetrics() {
 	obs.SyncCounter(in.deliveredC, in.delivered.Load(), &in.pushedDelivered)
 	obs.SyncCounter(in.suppressedC, in.suppressed.Load(), &in.pushedSuppressed)
-	obs.SyncCounter(in.elidedC, in.elided.Load(), &in.pushedElided)
+	if in.elidedC != nil {
+		obs.SyncCounter(in.elidedC, in.Elided(), &in.pushedElided)
+	}
 }
 
 // SetEnabled toggles event delivery at runtime.
@@ -222,6 +239,12 @@ type Thread struct {
 	scope string
 	slot  *sched.Slot // deterministic-schedule handle; nil when free-running
 
+	// elided counts elided events not yet added to the Instrumenter's
+	// shared total. The thread publishes them in batches of obs.SyncBatch,
+	// so an elided access writes only this thread's own state, not a
+	// counter every worker writes; Elided and FlushMetrics add the rest.
+	elided uint64
+
 	ring    [dedupSlots]uint64 // packed (line<<1 | isWrite) history
 	ringLen int
 	ringPos int
@@ -241,11 +264,13 @@ func (in *Instrumenter) NewThread(name string) *Thread {
 		in.tnames = make(map[int]string)
 	}
 	in.tnames[id] = name
+	t := &Thread{in: in, id: id, name: name}
+	in.threads = append(in.threads, t)
 	in.tmu.Unlock()
 	if in.obs.Tracing() {
 		in.obs.Emit(obs.Event{Type: obs.EvThread, TID: id, Name: name})
 	}
-	return &Thread{in: in, id: id, name: name}
+	return t
 }
 
 // ThreadNames returns a copy of the tid → label map for every thread minted
@@ -302,8 +327,9 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 	// deterministic schedule, so dropping the event here cannot perturb
 	// thread interleaving — only skip work the manifest proves redundant.
 	if in.elider != nil && in.elider.Elidable(addr, size, isWrite) {
-		if en := in.elided.Add(1); en&(obs.SyncBatch-1) == 0 {
-			obs.SyncCounter(in.elidedC, en, &in.pushedElided)
+		if t.elided++; t.elided == obs.SyncBatch {
+			t.elided = 0
+			obs.SyncCounter(in.elidedC, in.elided.Add(obs.SyncBatch), &in.pushedElided)
 		}
 		return
 	}

@@ -216,15 +216,18 @@ func NewRegistry() *Registry {
 
 // lookup finds or creates a named metric slot and applies set to it under
 // r.mu, so concurrent first registrations of a name share one instrument
-// and a renderer never reads a slot mid-update. Caller must not hold r.mu.
+// and a renderer never reads a slot mid-update. Only a new name is checked
+// against the grammar: fetches repeat on hot-ish paths (every newly tracked
+// line fetches its counters), and a registered name was checked when it
+// was registered. Caller must not hold r.mu.
 func (r *Registry) lookup(name, help string, kind Kind, set func(*metric)) *metric {
-	if !validName.MatchString(name) {
-		panic("obs: invalid metric name " + name)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.byName[name]
 	if !ok {
+		if !validName.MatchString(name) {
+			panic("obs: invalid metric name " + name)
+		}
 		m = &metric{name: name, help: help, kind: kind}
 		r.metrics = append(r.metrics, m)
 		r.byName[name] = m

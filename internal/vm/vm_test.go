@@ -8,6 +8,7 @@ import (
 	"predator/internal/core"
 	"predator/internal/instr"
 	"predator/internal/mem"
+	"predator/internal/sched"
 )
 
 // env builds heap + runtime + instrumenter with small thresholds.
@@ -92,17 +93,25 @@ func TestVMFalseSharingDetected(t *testing.T) {
 	}
 	prog := MustAssemble(counterProgram)
 	v := New(h, Config{YieldEvery: 16})
+	// The two VM threads run on the deterministic scheduler, so they
+	// interleave on the counter line however the host schedules goroutines.
+	s := sched.New(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		th := in.NewThread("w")
+		slot := s.Register()
+		th.SetSlot(slot)
 		wg.Add(1)
-		go func(th *instr.Thread, word uint64) {
+		go func(th *instr.Thread, slot *sched.Slot, word uint64) {
 			defer wg.Done()
+			defer slot.Done()
+			slot.WaitTurn()
 			if _, err := v.Run(th, prog, int64(word), 20000); err != nil {
 				t.Error(err)
 			}
-		}(th, obj+uint64(w)*8)
+		}(th, slot, obj+uint64(w)*8)
 	}
+	s.Start()
 	wg.Wait()
 	if len(rt.Report().FalseSharing()) == 0 {
 		t.Error("VM-driven false sharing not detected")

@@ -49,34 +49,14 @@ func hotStores(th *predator.Thread, addr uint64) time.Duration {
 // TestNoSinkObserverOverhead is the observability subsystem's performance
 // contract: attaching an observer with a metrics registry but no event sink
 // must cost less than 5% on the access hot path relative to the unobserved
-// default. Interleaved min-of-trials measurement filters scheduler noise,
-// and the comparison retries before declaring failure so a single noisy
-// trial cannot fail the suite.
+// default.
 func TestNoSinkObserverOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const trials, maxAttempts, limit = 5, 3, 1.05
-	for attempt := 1; ; attempt++ {
-		base, observed := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < trials; i++ {
-			if d := hotLoop(t, nil); d < base {
-				base = d
-			}
-			if d := hotLoop(t, predator.NewObserver(nil)); d < observed {
-				observed = d
-			}
-		}
-		ratio := float64(observed) / float64(base)
-		t.Logf("attempt %d: base=%v observed=%v ratio=%.3f", attempt, base, observed, ratio)
-		if ratio <= limit {
-			return
-		}
-		if attempt >= maxAttempts {
-			t.Fatalf("no-sink observer overhead %.1f%% exceeds %.0f%% (base=%v observed=%v)",
-				(ratio-1)*100, (limit-1)*100, base, observed)
-		}
-	}
+	assertOverhead(t, "no-sink observer",
+		func() time.Duration { return wholeLoop(t, nil, nil) },
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) })
 }
 
 // TestSelfProfileOverhead extends the contract to runtime self-profiling:
@@ -89,32 +69,14 @@ func TestSelfProfileOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const trials, maxAttempts, limit = 5, 3, 1.05
 	withSelf := func() *predator.Observer {
 		o := predator.NewObserver(nil)
 		o.EnableSelfProfile()
 		return o
 	}
-	for attempt := 1; ; attempt++ {
-		base, profiled := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < trials; i++ {
-			if d := hotLoop(t, predator.NewObserver(nil)); d < base {
-				base = d
-			}
-			if d := hotLoop(t, withSelf()); d < profiled {
-				profiled = d
-			}
-		}
-		ratio := float64(profiled) / float64(base)
-		t.Logf("attempt %d: base=%v profiled=%v ratio=%.3f", attempt, base, profiled, ratio)
-		if ratio <= limit {
-			return
-		}
-		if attempt >= maxAttempts {
-			t.Fatalf("self-profile overhead %.1f%% exceeds %.0f%% (base=%v profiled=%v)",
-				(ratio-1)*100, (limit-1)*100, base, profiled)
-		}
-	}
+	assertOverhead(t, "self-profile",
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) },
+		func() time.Duration { return wholeLoop(t, withSelf(), nil) })
 }
 
 // TestFlightRecorderOverhead extends the contract to the flight recorder:
@@ -124,31 +86,38 @@ func TestSelfProfileOverhead(t *testing.T) {
 // only exist past TrackingThreshold, and even then a line records its
 // invalidating accesses and one in flight.RecordStride of the others, each
 // record costing three locked atomic operations.
-//
-// One configuration's loop time varies by far more than 5% from run to run
-// on a small host, so the estimator is built to cancel that drift rather
-// than filter it: each pair times one whole loop of each arm back to back,
-// alternating which arm runs first, with the previous loop's garbage
-// collected before each timed loop; the assertion is on the median of the
-// per-pair ratios.
 func TestFlightRecorderOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const pairs, maxAttempts, limit = 15, 3, 1.05
 	off := predator.DefaultRuntimeConfig()
 	off.FlightDepth = predator.FlightDisabled
 	on := predator.DefaultRuntimeConfig() // FlightDepth 0 = recording on at default depth
+	assertOverhead(t, "flight recorder",
+		func() time.Duration { return flightLoop(t, off) },
+		func() time.Duration { return flightLoop(t, on) })
+}
+
+// assertOverhead is the timing tests' shared estimator: arm must cost at
+// most 5% more than base. One configuration's loop time varies by far more
+// than 5% from run to run on a small host, so the estimator is built to
+// cancel that drift rather than filter it: each of 15 pairs times one whole
+// loop of each arm back to back, alternating which arm runs first, and the
+// assertion is on the median of the per-pair ratios. It retries before
+// declaring failure, so one noisy attempt cannot fail the suite.
+func assertOverhead(t *testing.T, what string, base, arm func() time.Duration) {
+	t.Helper()
+	const pairs, maxAttempts, limit = 15, 3, 1.05
 	for attempt := 1; ; attempt++ {
 		ratios := make([]float64, pairs)
 		for i := range ratios {
-			var base, recording time.Duration
+			var b, a time.Duration
 			if i%2 == 0 {
-				base, recording = flightLoop(t, off), flightLoop(t, on)
+				b, a = base(), arm()
 			} else {
-				recording, base = flightLoop(t, on), flightLoop(t, off)
+				a, b = arm(), base()
 			}
-			ratios[i] = float64(recording) / float64(base)
+			ratios[i] = float64(a) / float64(b)
 		}
 		sort.Float64s(ratios)
 		ratio := ratios[pairs/2]
@@ -158,14 +127,23 @@ func TestFlightRecorderOverhead(t *testing.T) {
 			return
 		}
 		if attempt >= maxAttempts {
-			t.Fatalf("flight recorder overhead %.1f%% exceeds %.0f%% (median of %d paired ratios)",
-				(ratio-1)*100, (limit-1)*100, pairs)
+			t.Fatalf("%s overhead %.1f%% exceeds %.0f%% (median of %d paired ratios)",
+				what, (ratio-1)*100, (limit-1)*100, pairs)
 		}
 	}
 }
 
-// flightLoop times one whole hot loop under rc, after collecting the
-// garbage earlier loops left so no collection lands inside the timed loop.
+// wholeLoop times one whole hot loop on a fresh detector, after collecting
+// the garbage earlier loops left so no collection lands inside the timed
+// loop.
+func wholeLoop(t *testing.T, o *predator.Observer, rc *predator.RuntimeConfig) time.Duration {
+	_, th, addr := hotDetector(t, o, rc)
+	runtime.GC()
+	return hotStores(th, addr)
+}
+
+// flightLoop is wholeLoop under rc, checking that recording had lines to
+// record on.
 func flightLoop(t *testing.T, rc predator.RuntimeConfig) time.Duration {
 	d, th, addr := hotDetector(t, nil, &rc)
 	runtime.GC()

@@ -13,40 +13,20 @@ import (
 // contract: attaching a tracer to the observer must cost less than 5% on the
 // access hot path relative to the same observer without one. Spans are
 // created only at pipeline phase boundaries — never per access — so the hot
-// loop pays nothing beyond the observer it already carries. Interleaved
-// min-of-trials measurement filters scheduler noise, and the comparison
-// retries before declaring failure so a single noisy trial cannot fail the
-// suite.
+// loop pays nothing beyond the observer it already carries. The estimator is
+// the other overhead tests' (assertOverhead).
 func TestSpanOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const trials, maxAttempts, limit = 5, 3, 1.05
 	withSpans := func() *predator.Observer {
 		o := predator.NewObserver(nil)
 		o.SetSpans(spans.New(spans.Config{}))
 		return o
 	}
-	for attempt := 1; ; attempt++ {
-		base, traced := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < trials; i++ {
-			if d := hotLoop(t, predator.NewObserver(nil)); d < base {
-				base = d
-			}
-			if d := hotLoop(t, withSpans()); d < traced {
-				traced = d
-			}
-		}
-		ratio := float64(traced) / float64(base)
-		t.Logf("attempt %d: base=%v traced=%v ratio=%.3f", attempt, base, traced, ratio)
-		if ratio <= limit {
-			return
-		}
-		if attempt >= maxAttempts {
-			t.Fatalf("span tracer overhead %.1f%% exceeds %.0f%% (base=%v traced=%v)",
-				(ratio-1)*100, (limit-1)*100, base, traced)
-		}
-	}
+	assertOverhead(t, "span tracer",
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) },
+		func() time.Duration { return wholeLoop(t, withSpans(), nil) })
 }
 
 // TestSpanTreeDeterministic is the reproducibility half of the span
