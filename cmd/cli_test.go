@@ -239,7 +239,7 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.prom")
 	events := filepath.Join(dir, "events.jsonl")
-	out, err := run(t, "predator", "-workload", "histogram", "-quiet",
+	out, err := run(t, "predator", "-workload", "histogram", "-quiet", "-deterministic",
 		"-metrics-out", metrics, "-events-out", events)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)

@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"predator/internal/core"
 	"predator/internal/fixer"
 	"predator/internal/fleet"
 	"predator/internal/harness"
@@ -33,32 +32,25 @@ import (
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list available workloads and exit")
-		workload   = flag.String("workload", "", "workload to run (see -list)")
-		mode       = flag.String("mode", "predict", "instrumentation mode: native | detect (PREDATOR-NP) | predict (PREDATOR)")
-		threads    = flag.Int("threads", 8, "worker thread count")
-		scale      = flag.Int("scale", 1, "workload size multiplier")
-		fixed      = flag.Bool("fixed", false, "run the fixed variant instead of the buggy one")
-		offset     = flag.Uint64("offset", 1<<63, "force the hot object's in-line byte offset (default: workload's natural placement)")
-		trackAt    = flag.Uint64("tracking-threshold", 50, "per-line writes before detailed tracking")
-		predictAt  = flag.Uint64("prediction-threshold", 100, "recorded writes before hot-pair search")
-		reportAt   = flag.Uint64("report-threshold", 200, "minimum invalidations to report")
-		sampleWin  = flag.Uint64("sample-window", 0, "sampling window (0 = record everything)")
-		sampleBur  = flag.Uint64("sample-burst", 0, "recorded prefix of each sampling window")
-		showAll    = flag.Bool("all", false, "print every finding, including true sharing")
-		suggest    = flag.Bool("suggest", false, "print fix prescriptions for each problem")
-		asJSON     = flag.Bool("json", false, "emit the report as machine-readable JSON")
-		det        = flag.Bool("deterministic", false, "serialize workers round-robin for exactly reproducible counts")
-		detGrain   = flag.Int("deterministic-grain", 16, "accesses per turn in deterministic mode")
-		quiet      = flag.Bool("quiet", false, "print only the summary line")
-		flightN    = flag.Int("flight-depth", 0, "flight recorder ring depth per tracked line (0 = default, -1 = disable)")
-		heartbeat  = flag.Duration("heartbeat", 0, "heartbeat interval for periodic metric snapshots (0 = off)")
-		maxTracked = flag.Int("max-tracked-lines", 0, "resource governor budget for detailed tracking (0 = unlimited)")
-		maxVirtual = flag.Int("max-virtual-lines", 0, "resource governor budget for virtual lines (0 = unlimited)")
-		strict     = flag.Bool("strict", true, "panic on out-of-heap accesses (false: absorb them as recoverable faults)")
-		elidePath  = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file")
-		version    = flag.Bool("version", false, "print build version and exit")
+		list      = flag.Bool("list", false, "list available workloads and exit")
+		workload  = flag.String("workload", "", "workload to run (see -list)")
+		mode      = flag.String("mode", "predict", "instrumentation mode: native | detect (PREDATOR-NP) | predict (PREDATOR)")
+		threads   = flag.Int("threads", 8, "worker thread count")
+		scale     = flag.Int("scale", 1, "workload size multiplier")
+		fixed     = flag.Bool("fixed", false, "run the fixed variant instead of the buggy one")
+		offset    = flag.Uint64("offset", 1<<63, "force the hot object's in-line byte offset (default: workload's natural placement)")
+		showAll   = flag.Bool("all", false, "print every finding, including true sharing")
+		suggest   = flag.Bool("suggest", false, "print fix prescriptions for each problem")
+		asJSON    = flag.Bool("json", false, "emit the report as machine-readable JSON")
+		det       = flag.Bool("deterministic", false, "serialize workers round-robin for exactly reproducible counts")
+		detGrain  = flag.Int("deterministic-grain", 16, "accesses per turn in deterministic mode")
+		quiet     = flag.Bool("quiet", false, "print only the summary line")
+		heartbeat = flag.Duration("heartbeat", 0, "heartbeat interval for periodic metric snapshots (0 = off)")
+		strict    = flag.Bool("strict", true, "panic on out-of-heap accesses (false: absorb them as recoverable faults)")
+		elidePath = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file")
+		version   = flag.Bool("version", false, "print build version and exit")
 	)
+	cfg := harness.RuntimeFlags(flag.CommandLine)
 	exports := agent.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -98,23 +90,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := core.Config{
-		TrackingThreshold:   *trackAt,
-		PredictionThreshold: *predictAt,
-		ReportThreshold:     *reportAt,
-		SampleWindow:        *sampleWin,
-		SampleBurst:         *sampleBur,
-		Prediction:          m == harness.ModePredict,
-		MaxTrackedLines:     *maxTracked,
-		MaxVirtualLines:     *maxVirtual,
-		FlightDepth:         *flightN,
-	}
+	cfg.Prediction = m == harness.ModePredict
 	opts := harness.Options{
 		Mode:               m,
 		Threads:            *threads,
 		Scale:              *scale,
 		Buggy:              !*fixed,
-		Runtime:            &cfg,
+		Runtime:            cfg,
 		Deterministic:      *det,
 		DeterministicGrain: *detGrain,
 		Strict:             strict,

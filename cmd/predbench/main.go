@@ -38,7 +38,7 @@ func main() {
 		benchWork  = flag.String("bench-workloads", "", "comma-separated workloads for -bench-json (default: all evaluated workloads)")
 		benchComp  = flag.String("bench-compare", "", "re-measure the workloads in this baseline -bench-json file and fail on slowdown-ratio regression or finding-count drift")
 		benchTol   = flag.Float64("bench-tolerance", eval.DefaultBenchTolerance, "relative slowdown-ratio growth -bench-compare tolerates before failing")
-		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler (reproducible finding counts; required for a drift-free -bench-compare gate; excludes workloads that block across threads)")
+		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler (reproducible finding counts; required for a drift-free -bench-compare gate)")
 		elidePath  = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file, applied to every detection run")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)

@@ -46,20 +46,13 @@ func main() {
 		threads    = flag.Int("threads", 8, "worker threads for -record")
 		scale      = flag.Int("scale", 1, "workload size multiplier for -record")
 		fixed      = flag.Bool("fixed", false, "record the fixed variant")
-		trackAt    = flag.Uint64("tracking-threshold", 50, "replay: per-line writes before tracking")
-		predictAt  = flag.Uint64("prediction-threshold", 100, "replay: recorded writes before hot-pair search")
-		reportAt   = flag.Uint64("report-threshold", 200, "replay: minimum invalidations to report")
-		sampleWin  = flag.Uint64("sample-window", 0, "replay: sampling window (0 = record everything)")
-		sampleBur  = flag.Uint64("sample-burst", 0, "replay: recorded prefix of each window")
 		noPredict  = flag.Bool("no-prediction", false, "replay: disable prediction")
 		salvage    = flag.Bool("salvage", false, "replay: skip malformed/truncated records instead of aborting")
 		salvageMax = flag.Uint64("salvage-budget", 0, "replay: max corrupt regions tolerated under -salvage (0 = unlimited); exceeding it exits nonzero after the partial report")
-		maxTracked = flag.Int("max-tracked-lines", 0, "replay: resource governor budget for detailed tracking (0 = unlimited)")
-		maxVirtual = flag.Int("max-virtual-lines", 0, "replay: resource governor budget for virtual lines (0 = unlimited)")
-		flightN    = flag.Int("flight-depth", 0, "replay: flight recorder ring depth per tracked line (0 = default, -1 = disable)")
 		elidePath  = flag.String("elide", "", "replay: predlint elision manifest (-elide-out): drop provably-safe access events before the runtime")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
+	cfg := harness.RuntimeFlags(flag.CommandLine)
 	exports := agent.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -76,17 +69,7 @@ func main() {
 			fatal(err.Error())
 		}
 	case *replay != "":
-		cfg := core.Config{
-			TrackingThreshold:   *trackAt,
-			PredictionThreshold: *predictAt,
-			ReportThreshold:     *reportAt,
-			SampleWindow:        *sampleWin,
-			SampleBurst:         *sampleBur,
-			Prediction:          !*noPredict,
-			MaxTrackedLines:     *maxTracked,
-			MaxVirtualLines:     *maxVirtual,
-			FlightDepth:         *flightN,
-		}
+		cfg.Prediction = !*noPredict
 		ropts := trace.ReplayOptions{Salvage: *salvage}
 		if *elidePath != "" {
 			manifest, err := elide.Load(*elidePath)
@@ -96,7 +79,7 @@ func main() {
 			}
 			ropts.Elide = manifest
 		}
-		if err := doReplay(*replay, cfg, ropts, *salvageMax, exports); err != nil {
+		if err := doReplay(*replay, *cfg, ropts, *salvageMax, exports); err != nil {
 			fatal(err.Error())
 		}
 	default:

@@ -1,5 +1,5 @@
 // Quickstart: detect false sharing between two goroutines with the public
-// predator API in ~40 lines.
+// predator API in ~50 lines.
 //
 //	go run ./examples/quickstart
 package main
@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"sync"
 )
 
@@ -33,21 +32,26 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The threads hand one turn token back and forth every 64 stores, so
+	// their stores interleave however the host schedules them.
+	const stores, batch = 50000, 64
+	turn := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
 	var wg sync.WaitGroup
-	for _, w := range []struct {
-		t    *predator.Thread
-		word uint64
-	}{{alice, addr}, {bob, addr + 8}} {
+	for i, t := range []*predator.Thread{alice, bob} {
 		wg.Add(1)
-		go func(t *predator.Thread, word uint64) {
+		go func(i int, t *predator.Thread, word uint64) {
 			defer wg.Done()
-			for i := 0; i < 50000; i++ {
-				t.Store64(word, uint64(i)) // false sharing: same line, distinct words
-				if i%64 == 63 {
-					runtime.Gosched() // keep goroutines interleaving on single-CPU hosts
+			for n := 0; n < stores; n++ {
+				if n%batch == 0 {
+					<-turn[i]
+				}
+				t.Store64(word, uint64(n)) // false sharing: same line, distinct words
+				if n%batch == batch-1 || n == stores-1 {
+					turn[1-i] <- struct{}{}
 				}
 			}
-		}(w.t, w.word)
+		}(i, t, addr+uint64(i)*8)
 	}
 	wg.Wait()
 

@@ -17,6 +17,7 @@ import (
 	"predator/internal/core"
 	"predator/internal/instr"
 	"predator/internal/mem"
+	"predator/internal/sched"
 	"predator/internal/vm"
 )
 
@@ -67,18 +68,26 @@ func runPair(instrumentStack bool, program string, shared bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The two VM threads run on the deterministic scheduler, so they
+	// interleave however the host schedules goroutines.
+	s := sched.New(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		th := in.NewThread(fmt.Sprintf("vm-%d", w))
+		slot := s.Register()
+		th.SetSlot(slot)
 		word := obj + uint64(w)*8
 		wg.Add(1)
-		go func(th *instr.Thread, word uint64) {
+		go func(th *instr.Thread, slot *sched.Slot, word uint64) {
 			defer wg.Done()
+			defer slot.Done()
+			slot.WaitTurn()
 			if _, err := machine.Run(th, prog, int64(word), 20000); err != nil {
 				log.Fatal(err)
 			}
-		}(th, word)
+		}(th, slot, word)
 	}
+	s.Start()
 	wg.Wait()
 	stats := rt.Stats()
 	fmt.Printf("  accesses seen by runtime: %-7d false sharing problems: %d\n",

@@ -16,9 +16,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,13 +174,9 @@ type Runtime struct {
 	// Flight recording (tentpole: causal timeline tracing). fclock is nil
 	// when FlightDepth == FlightDisabled; otherwise every promoted line and
 	// registered virtual line is armed with a ring of fdepth slots on this
-	// shared clock. phases is the detector-phase journal in clock time
-	// (prediction searches, report generation), mutex-appended off the hot
-	// path.
+	// shared clock.
 	fclock *flight.Clock
 	fdepth int
-	phMu   sync.Mutex
-	phases []flight.PhaseSpan
 
 	// predlint padcheck: pads keep each contended counter on its own cache line.
 	_             [32]byte
@@ -283,12 +277,15 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 			"Cache lines currently in invalidation-counting-only (degraded) mode.")
 		rt.degradedModeG = reg.Gauge("predator_degraded_mode",
 			"1 once the runtime has shed any detection detail under resource pressure.")
-		rt.predictH = reg.Histogram("predator_prediction_seconds",
-			"Hot-pair search latency per triggered line.",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2})
-		rt.reportH = reg.Histogram("predator_report_seconds",
-			"Report generation latency.",
-			[]float64{1e-4, 1e-3, 1e-2, 1e-1, 1})
+		if o.Spans() != nil {
+			// Phase latencies are the durations of the phases' spans.
+			rt.predictH = reg.Histogram("predator_prediction_seconds",
+				"Hot-pair search latency per triggered line.",
+				[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2})
+			rt.reportH = reg.Histogram("predator_report_seconds",
+				"Report generation latency.",
+				[]float64{1e-4, 1e-3, 1e-2, 1e-1, 1})
+		}
 		rt.lineInvH = reg.Histogram("predator_line_invalidations",
 			"Distribution of invalidation counts across tracked lines at report time.",
 			[]float64{1, 10, 100, 1000, 10000, 100000})
@@ -515,62 +512,14 @@ func (rt *Runtime) noteDegraded(line uint64, phase string) {
 	}
 }
 
-// runPrediction searches the line and its neighbours for hot access pairs
-// and registers virtual lines for verification. The work runs under the
-// pprof label predator_phase=prediction so CPU profiles attribute the §3.3
-// search separately from instrumentation cost.
+// runPrediction is the §3.3 hot-pair search over the line and its
+// neighbours: it registers virtual lines for verification, and its
+// predict.search span times it.
 func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
-	var start time.Time
-	if rt.obs != nil {
-		start = time.Now()
-	}
 	psp := rt.tracer().Start("predict.search", rt.spanParent.Load())
 	psp.SetAttr("line", line)
-	tickStart := rt.fclock.Now()
-	var pairs int
-	pprof.Do(context.Background(), pprof.Labels("predator_phase", "prediction"),
-		func(context.Context) { pairs = rt.predictLine(line, track) })
-	rt.notePhase("prediction", line, tickStart)
-	psp.SetAttr("hot_pairs", uint64(pairs))
-	psp.End()
-	if rt.obs != nil {
-		rt.predictH.Observe(time.Since(start).Seconds())
-	}
-}
-
-// notePhase journals one detector-phase interval in access-clock time, named
-// with the same predator_phase labels the pprof integration uses so profiles
-// and timelines line up. No-op when flight recording is disabled.
-func (rt *Runtime) notePhase(name string, line, start uint64) {
-	if rt.fclock == nil {
-		return
-	}
-	span := flight.PhaseSpan{Name: name, Line: line, Start: start, End: rt.fclock.Now()}
-	rt.phMu.Lock()
-	rt.phases = append(rt.phases, span)
-	rt.phMu.Unlock()
-}
-
-// phaseSpans copies the phase journal, prefixed with the synthetic
-// whole-run workload span (tick 1 to now).
-func (rt *Runtime) phaseSpans() []flight.PhaseSpan {
-	if rt.fclock == nil {
-		return nil
-	}
-	rt.phMu.Lock()
-	defer rt.phMu.Unlock()
-	out := make([]flight.PhaseSpan, 0, len(rt.phases)+1)
-	if now := rt.fclock.Now(); now > 0 {
-		out = append(out, flight.PhaseSpan{Name: "workload", Start: 1, End: now})
-	}
-	return append(out, rt.phases...)
-}
-
-// predictLine is runPrediction's body: the §3.3 hot-pair search over the
-// line and its neighbours. It returns how many hot pairs it found.
-func (rt *Runtime) predictLine(line uint64, track *detect.Track) int {
 	registered := false
-	pairs := 0
+	pairs := uint64(0)
 	for _, adj := range []uint64{line - 1, line + 1} {
 		if adj >= rt.mapping.Lines() { // also catches line-1 underflow at line 0
 			continue
@@ -592,7 +541,9 @@ func (rt *Runtime) predictLine(line uint64, track *detect.Track) int {
 	if registered {
 		rt.vactive.Store(true)
 	}
-	return pairs
+	psp.SetAttr("hot_pairs", pairs)
+	psp.End()
+	rt.predictH.Observe(psp.Duration().Seconds())
 }
 
 // onFree recycles shadow metadata for the freed object's lines: a line is
@@ -669,29 +620,17 @@ func (rt *Runtime) wordsForSpan(span cacheline.Virtual) []report.WordDetail {
 	return out
 }
 
-// Report distills the runtime's state into a ranked report. Objects named
-// in false sharing findings are flagged in the heap so their memory is
-// never reused. The distillation runs under the pprof label
-// predator_phase=report so CPU profiles attribute report generation
-// separately from instrumentation cost.
+// Report distills the runtime's state into a ranked report, timed by its
+// report.collect span. Objects named in false sharing findings are flagged
+// in the heap so their memory is never reused.
 func (rt *Runtime) Report() *report.Report {
-	var began time.Time
-	if rt.obs != nil {
-		began = time.Now()
-	}
-	var rep *report.Report
 	rsp := rt.tracer().Start("report.collect", rt.spanParent.Load())
-	tickStart := rt.fclock.Now()
-	pprof.Do(context.Background(), pprof.Labels("predator_phase", "report"),
-		func(context.Context) { rep = rt.collectReport(true, rsp) })
-	rt.notePhase("report", 0, tickStart)
+	rep := rt.collectReport(true, rsp)
 	rsp.SetAttr("findings", uint64(len(rep.Findings)))
 	rsp.End()
-	if rt.obs != nil {
-		rt.reportH.Observe(time.Since(began).Seconds())
-		if rt.obs.Tracing() {
-			rt.obs.Emit(obs.Event{Type: obs.EvReport, Count: uint64(len(rep.Findings))})
-		}
+	rt.reportH.Observe(rsp.Duration().Seconds())
+	if rt.obs.Tracing() {
+		rt.obs.Emit(obs.Event{Type: obs.EvReport, Count: uint64(len(rep.Findings))})
 	}
 	return rep
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"predator/internal/mem"
 	"predator/internal/obs"
+	"predator/internal/obs/spans"
 	"predator/internal/report"
 )
 
@@ -251,11 +255,19 @@ func TestFreeResetsMetadata(t *testing.T) {
 	}
 }
 
+// tracedObserver is an observer with a span tracer, the kind that carries
+// the phase-latency histograms.
+func tracedObserver() *obs.Observer {
+	o := obs.New(obs.NewRegistry(), nil)
+	o.SetSpans(spans.New(spans.Config{}))
+	return o
+}
+
 // A freed line keeps its hot-pair search claim: written past
 // PredictionThreshold again, it is not searched a second time.
 func TestFreedLineNotSearchedAgain(t *testing.T) {
 	cfg := testConfig()
-	cfg.Observer = obs.New(obs.NewRegistry(), nil)
+	cfg.Observer = tracedObserver()
 	rt, h := newRuntime(t, cfg)
 	addr, _ := h.AllocWithOffset(0, 64, 0, 0)
 	line, _ := rt.mapping.Index(addr)
@@ -281,6 +293,38 @@ func TestFreedLineNotSearchedAgain(t *testing.T) {
 	}
 	if n := rt.predictH.Count(); n != 1 {
 		t.Errorf("%d hot-pair searches after the line was freed and rewritten, want 1", n)
+	}
+}
+
+// A hot-pair search leaves the searching goroutine's pprof labels alone, so
+// a harness worker keeps predator_phase=workload and its predator_worker
+// name for the whole run.
+func TestSearchKeepsGoroutineLabels(t *testing.T) {
+	cfg := testConfig()
+	cfg.Observer = tracedObserver()
+	rt, h := newRuntime(t, cfg)
+	addr, _ := h.AllocWithOffset(0, 64, 0, 0)
+	searched, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go pprof.Do(context.Background(),
+		pprof.Labels("predator_phase", "workload", "predator_worker", "label-probe"),
+		func(context.Context) {
+			for i := uint64(0); i < cfg.TrackingThreshold+cfg.PredictionThreshold; i++ {
+				rt.HandleAccess(1, addr, 8, true)
+			}
+			close(searched)
+			<-release
+		})
+	<-searched
+	if n := rt.predictH.Count(); n != 1 {
+		t.Fatalf("%d hot-pair searches, want 1", n)
+	}
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	if want := `# labels: {"predator_phase":"workload", "predator_worker":"label-probe"}`; !strings.Contains(buf.String(), want) {
+		t.Errorf("goroutine profile lost the worker's labels after a search; want %s in:\n%s", want, buf.String())
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
-// Flight-recorder introspection: FlightDump exposes the runtime's recorded
-// access tails, detector-phase journal, and flagging instants in one
-// JSON-shaped structure. It is the data source for the Perfetto exporter
+// Flight-recorder introspection: FlightDump exposes the runtime's access
+// clock, recorded access tails, and flagging instants in one JSON-shaped
+// structure. It is the data source for the Perfetto exporter
 // (internal/obs/traceout), the diagnostics server's /timeline endpoint, and
 // the CLIs' -timeline-out flag, the same way introspect.go's LineSnapshot
 // feeds /hotlines. collectReport's Provenance blocks are built from the same
@@ -44,15 +44,14 @@ type FlightVLine struct {
 }
 
 // FlightDump is a point-in-time copy of everything the flight recorders
-// know: the current access clock, the detector-phase journal, and the
-// recorded tails of tracked and virtual lines.
+// know: the current access clock and the recorded tails of tracked and
+// virtual lines.
 type FlightDump struct {
-	Clock    uint64             `json:"clock"`     // current access-clock tick
-	LineSize uint64             `json:"line_size"` // physical cache-line size
-	Depth    int                `json:"depth"`     // per-line ring depth
-	Phases   []flight.PhaseSpan `json:"phases"`
-	Lines    []FlightLine       `json:"lines"`
-	Virtual  []FlightVLine      `json:"virtual,omitempty"`
+	Clock    uint64        `json:"clock"`     // current access-clock tick
+	LineSize uint64        `json:"line_size"` // physical cache-line size
+	Depth    int           `json:"depth"`     // per-line ring depth
+	Lines    []FlightLine  `json:"lines"`
+	Virtual  []FlightVLine `json:"virtual,omitempty"`
 }
 
 // FlightEnabled reports whether flight recording is armed on this runtime.
@@ -71,7 +70,6 @@ func (rt *Runtime) FlightDump(n int, line int64) *FlightDump {
 		Clock:    rt.fclock.Now(),
 		LineSize: rt.geom.Size(),
 		Depth:    rt.fdepth,
-		Phases:   rt.phaseSpans(),
 	}
 	rt.sh.ForEachTracked(func(l uint64, t *detect.Track) {
 		if line >= 0 && l != uint64(line) {

@@ -568,29 +568,32 @@ func (t *Track) Words() []WordSnapshot {
 // AverageWordAccesses returns the mean number of recorded accesses per word
 // of the line — the paper's threshold for calling a word's access "hot"
 // (§3.3). A degraded track reports its frozen pre-degradation average.
-func (t *Track) AverageWordAccesses() float64 {
-	ws := t.Words()
+func (t *Track) AverageWordAccesses() float64 { return averageAccesses(t.Words()) }
+
+// averageAccesses is the mean access count of a word snapshot.
+func averageAccesses(ws []WordSnapshot) float64 {
 	if len(ws) == 0 {
 		return 0
 	}
 	var total uint64
 	for _, w := range ws {
-		total += w.Reads + w.Writes
+		total += w.Accesses()
 	}
 	return float64(total) / float64(len(ws))
 }
 
 // HotWords returns snapshots of words whose access count strictly exceeds
-// the line's per-word average.
+// the line's per-word average, both read from one snapshot of the words.
 func (t *Track) HotWords() []WordSnapshot {
-	avg := t.AverageWordAccesses()
-	var out []WordSnapshot
-	for _, w := range t.Words() {
+	ws := t.Words()
+	avg := averageAccesses(ws)
+	hot := ws[:0]
+	for _, w := range ws {
 		if float64(w.Accesses()) > avg {
-			out = append(out, w)
+			hot = append(hot, w)
 		}
 	}
-	return out
+	return hot
 }
 
 // Reset clears all tracking state (object freed and recycled) except the

@@ -51,8 +51,7 @@ type Config struct {
 	// Deterministic serializes workers under the round-robin scheduler so
 	// detection counts are exactly reproducible — the mode the benchmark
 	// regression gate (predbench -bench-compare) runs in, since its
-	// finding-drift check needs run-to-run stable counts. Not usable with
-	// workloads that block across threads (boost).
+	// finding-drift check needs run-to-run stable counts.
 	Deterministic bool
 	// Elide selects the elision manifest every detection run binds (see
 	// harness.Options.Elide): nil is the built-in manifest, harness.ElideOff

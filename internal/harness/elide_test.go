@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"predator/internal/core"
 	"predator/internal/elide"
@@ -118,32 +119,43 @@ func TestBuiltinElisionBindRule(t *testing.T) {
 	}
 }
 
-// blocksAcrossThreads names the registered workloads whose workers block on
-// each other (true_share holds a mutex across its accesses), which the
-// deterministic scheduler cannot run: a thread that yields its turn while
-// holding the lock stalls the rotation.
-var blocksAcrossThreads = map[string]bool{"true_share": true}
+// Workers that wait for each other's Go mutexes finish under the
+// deterministic scheduler: true_share holds one mutex across its accesses,
+// and 16 boost workers share pool locks. A waiting worker hands on the turn
+// instead of blocking while it holds it.
+func TestDeterministicLockingWorkloadsFinish(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		threads int
+	}{{"true_share", 2}, {"boost", 16}} {
+		w, ok := harness.Get(c.name)
+		if !ok {
+			t.Fatalf("%s not registered", c.name)
+		}
+		opts := smallOpts(harness.ModePredict, nil)
+		opts.Threads = c.threads
+		done := make(chan error, 1)
+		go func() {
+			_, err := harness.Execute(w, opts)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s with %d threads did not finish in a minute under the deterministic scheduler", c.name, c.threads)
+		}
+	}
+}
 
 // TestElisionKeepsFindings is the safety contract over every registered
 // workload: a deterministic run reports the same findings with the built-in
-// manifest bound as with elision off. A workload the deterministic
-// scheduler cannot run must elide nothing instead, so its stream is the
-// same either way.
+// manifest bound as with elision off.
 func TestElisionKeepsFindings(t *testing.T) {
 	elidedAny := 0
 	for _, w := range harness.All() {
-		if blocksAcrossThreads[w.Name()] {
-			opts := smallOpts(harness.ModePredict, nil)
-			opts.Deterministic = false
-			res, err := harness.Execute(w, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name(), err)
-			}
-			if res.Elided != 0 {
-				t.Errorf("%s: elided %d accesses in a run that cannot be compared", w.Name(), res.Elided)
-			}
-			continue
-		}
 		off, err := harness.Execute(w, smallOpts(harness.ModePredict, harness.ElideOff))
 		if err != nil {
 			t.Fatalf("%s, elision off: %v", w.Name(), err)

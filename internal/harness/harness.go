@@ -93,9 +93,8 @@ func (c *Ctx) MaybeYield(i int) {
 // waits for all of them. Workers start together. The first panic, if any,
 // propagates. In deterministic mode (Options.Deterministic) the workers run
 // under a round-robin scheduler rotating every DeterministicGrain accesses,
-// making detection counts exactly reproducible; workloads that block across
-// threads (e.g. the boost lock pool) must not use deterministic mode, since
-// a blocked thread cannot yield its turn.
+// making detection counts exactly reproducible; a worker that waits for a
+// lock takes it with instr.Thread.Lock, which hands on the turn meanwhile.
 func (c *Ctx) Parallel(n int, name string, body func(t *instr.Thread, id int)) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -130,9 +129,10 @@ func (c *Ctx) Parallel(n int, name string, body func(t *instr.Thread, id int)) {
 			if slot != nil {
 				slot.WaitTurn()
 			}
-			// Workload goroutines carry pprof labels so CPU profiles from
-			// the diagnostics server split workload time (and the
-			// instrumentation cost it pays inline) from detector phases.
+			// Workload goroutines carry pprof labels for the whole run so
+			// CPU profiles from the diagnostics server split time by
+			// worker; the instrumentation and hot-pair searches a worker
+			// runs inline carry its labels and show by their frames.
 			pprof.Do(context.Background(),
 				pprof.Labels("predator_phase", "workload", "predator_worker", th.Name()),
 				func(context.Context) { body(th, id) })
@@ -233,8 +233,7 @@ type Options struct {
 	// (forces GC twice; skip it in latency-sensitive benchmarks).
 	MeasureMemory bool
 	// Deterministic serializes workers under a round-robin scheduler so
-	// invalidation counts are exactly reproducible. Not usable with
-	// workloads that block across threads (boost).
+	// invalidation counts are exactly reproducible.
 	Deterministic bool
 	// DeterministicGrain is the accesses-per-turn rotation grain
 	// (default 16, matching MaybeYield's free-running cadence).

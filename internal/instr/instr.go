@@ -300,6 +300,20 @@ func (t *Thread) SetScope(scope string) { t.scope = scope }
 // invalidation count — is exactly reproducible (see internal/sched).
 func (t *Thread) SetSlot(slot *sched.Slot) { t.slot = slot }
 
+// Lock acquires mu for this thread. Free-running it is mu.Lock. Under a
+// scheduler slot a thread must not block while it holds the turn, because
+// mu's holder may be waiting for that turn to come back: it tries the lock
+// and hands the turn on until the lock is free.
+func (t *Thread) Lock(mu *sync.Mutex) {
+	if t.slot == nil {
+		mu.Lock()
+		return
+	}
+	for !mu.TryLock() {
+		t.slot.Yield()
+	}
+}
+
 // Alloc allocates from the heap on behalf of this thread, attributing the
 // callsite to Alloc's caller.
 func (t *Thread) Alloc(size uint64) (uint64, error) {

@@ -106,12 +106,8 @@ func (f *Flags) Start(cfg Config) (*Session, error) {
 			sink = resilience.GuardSink("events-jsonl", s.events, 0, nil)
 		}
 		s.Observer = obs.New(obs.NewRegistry(), sink)
-	}
-
-	// Span tracing is on whenever the spans have somewhere to go (a
-	// -spans-out file, the diag /spans endpoint, or the fleet). The tracer
-	// rides on the observer; the root span parents every phase of the run.
-	if *f.SpansOut != "" || f.Diag.Enabled() || f.Fleet.Enabled() {
+		// The tracer rides on the observer: its spans time the phase
+		// histograms, and the root span parents every phase of the run.
 		s.tracer = spans.New(spans.Config{Deterministic: cfg.Deterministic})
 		s.Observer.SetSpans(s.tracer)
 		s.Span = s.tracer.Start("cli.run", nil)

@@ -10,11 +10,12 @@
 //     Report would currently contain.
 //   - /timeline?line=K — the flight recorders rendered as Chrome
 //     trace-event JSON (load in ui.perfetto.dev): per-thread access tracks,
-//     invalidation marks, detector-phase spans. Omit line for the hottest
-//     lines (?n= bounds how many).
-//   - /debug/pprof/* — the Go profiler; detector phases and workload
-//     goroutines carry pprof labels so CPU profiles split instrumentation,
-//     prediction, and report cost.
+//     invalidation marks, the whole-run workload bar. Omit line for the
+//     hottest lines (?n= bounds how many).
+//   - /debug/pprof/* — the Go profiler; harness workers carry the
+//     predator_phase=workload and predator_worker pprof labels for the
+//     whole run, and prediction and report samples are told apart by their
+//     frames (core.Runtime.runPrediction and Report).
 //   - /healthz — build identity, uptime, and endpoint quarantine state.
 //
 // The server holds its Source (the runtime) behind an atomic swap so tools

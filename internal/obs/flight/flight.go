@@ -274,15 +274,3 @@ func Digest(records []Record) DigestInfo {
 	}
 	return d
 }
-
-// PhaseSpan is one detector-phase interval in logical clock time, labeled
-// with the same predator_phase names the pprof integration uses
-// (workload | prediction | report), so a CPU profile and a flight timeline
-// line up. Line is the physical line index a prediction phase ran for
-// (meaningless for whole-run phases).
-type PhaseSpan struct {
-	Name  string `json:"name"`
-	Line  uint64 `json:"line,omitempty"`
-	Start uint64 `json:"start"` // clock tick the phase began at
-	End   uint64 `json:"end"`   // clock tick the phase ended at
-}

@@ -379,6 +379,15 @@ func (s *Span) End() {
 	s.tr.publish(s)
 }
 
+// Duration returns the span's monotonic duration once End has returned on
+// the calling goroutine; it is 0 before End and on a nil span.
+func (s *Span) Duration() time.Duration {
+	if s == nil || !s.ended.Load() {
+		return 0
+	}
+	return time.Duration(s.endMonoNano - s.startMonoNano)
+}
+
 // data snapshots the finished span into its exportable form.
 func (s *Span) data() Data {
 	s.mu.Lock()

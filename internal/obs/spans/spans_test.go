@@ -58,6 +58,9 @@ func TestNilSafety(t *testing.T) {
 	if got := s.TraceParent(); got != "" {
 		t.Fatalf("nil span traceparent = %q", got)
 	}
+	if d := s.Duration(); d != 0 {
+		t.Fatalf("nil span duration = %v", d)
+	}
 	if tr.Snapshot() != nil {
 		t.Fatal("nil tracer snapshot non-nil")
 	}
@@ -115,6 +118,24 @@ func TestSnapshotOrderAndParentLinks(t *testing.T) {
 		if d.EndMonoNano < d.StartMonoNano {
 			t.Fatalf("span %q has negative mono duration", d.Name)
 		}
+	}
+}
+
+// Duration is 0 until End, then the monotonic duration the snapshot
+// exports.
+func TestDurationMatchesSnapshot(t *testing.T) {
+	tr := New(Config{})
+	s := tr.Start("x", nil)
+	if d := s.Duration(); d != 0 {
+		t.Fatalf("duration before End = %v, want 0", d)
+	}
+	s.End()
+	snap := tr.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("snapshot has %d spans, want 1", len(snap))
+	}
+	if got, want := s.Duration(), snap[0].Duration(); got != want || got < 0 {
+		t.Fatalf("duration = %v, snapshot says %v", got, want)
 	}
 }
 

@@ -2,11 +2,11 @@
 // — the format ui.perfetto.dev and chrome://tracing load directly. The
 // timeline shows the detection run the way the paper's Figure 1 pipeline
 // describes it: one track per workload thread carrying its recorded accesses
-// (invalidation-causing ones as standout marks), one synthetic "detector
-// phases" track carrying the prediction searches and report generation as
-// spans (named with the same predator_phase labels the pprof integration
-// uses, so a CPU profile and a timeline line up), and one mark per line at
-// the instant its invalidations crossed the report threshold.
+// (invalidation-causing ones as standout marks), and one synthetic "detector
+// phases" track carrying the whole-run workload bar plus a mark per line at
+// the instant its invalidations crossed the report threshold and per virtual
+// line at its registration and verification. Per-search and report timings
+// are in the span trace (internal/obs/spans), not here.
 //
 // Timestamps are logical access-clock ticks, not wall time: the trace-event
 // "ts" field is nominally microseconds, and one tick per microsecond renders
@@ -107,19 +107,12 @@ func WriteTimeline(w io.Writer, d *core.FlightDump, threadNames map[int]string) 
 		Args: map[string]any{"name": "detector phases"},
 	})
 
-	// Detector phases as complete spans on the synthetic track.
-	for _, p := range d.Phases {
-		dur := p.End - p.Start
-		if dur == 0 {
-			dur = 1 // zero-width spans vanish in the UI
-		}
-		args := map[string]any{"predator_phase": p.Name}
-		if p.Name == "prediction" {
-			args["line"] = p.Line
-		}
+	// The whole run as one bar, ticks 1 to the dump's clock; zero-width
+	// bars vanish in the UI.
+	if d.Clock > 0 {
 		doc.TraceEvents = append(doc.TraceEvents, tevent{
-			Name: p.Name, Ph: "X", TS: p.Start, Dur: dur,
-			PID: tracePID, TID: phasesTID, Args: args,
+			Name: "workload", Ph: "X", TS: 1, Dur: max(d.Clock-1, 1),
+			PID: tracePID, TID: phasesTID, Args: map[string]any{"predator_phase": "workload"},
 		})
 	}
 

@@ -98,8 +98,9 @@ func hotWords(t *detect.Track) []HotWord {
 	if t == nil {
 		return nil
 	}
-	var out []HotWord
-	for _, w := range t.HotWords() {
+	hot := t.HotWords()
+	out := make([]HotWord, 0, len(hot))
+	for _, w := range hot {
 		owner := w.EffectiveOwner()
 		if owner < 0 {
 			continue
@@ -149,9 +150,10 @@ func FindPairsFused(cur, adj *detect.Track, geom cacheline.Geometry, fuseFactors
 		lo, hi = adj, cur
 	}
 	threshold := cur.AverageWordAccesses()
+	his := hotWords(hi)
 	var out []HotPair
 	for _, x := range hotWords(lo) {
-		for _, y := range hotWords(hi) {
+		for _, y := range his {
 			if !pairEligible(x, y) {
 				continue
 			}

@@ -169,6 +169,42 @@ func TestFindPairsNilTracks(t *testing.T) {
 	}
 }
 
+// The search snapshots each line's hot words once: beyond growing its
+// result, it allocates no more with four hot words on the lower line than
+// with one.
+func TestFindPairsSnapshotsHotWordsOnce(t *testing.T) {
+	factors := []int{2}
+	hi := mkTrack(1, [4]int{2, 0, 100, 0})
+	var first float64
+	for _, k := range []int{1, 2, 4} {
+		var specs [][4]int
+		for w := 8 - k; w < 8; w++ {
+			specs = append(specs, [4]int{1, w, 100, 0})
+		}
+		lo := mkTrack(0, specs...)
+		var pairs []HotPair
+		allocs := testing.AllocsPerRun(20, func() {
+			pairs = FindPairsFused(lo, hi, geom, factors)
+		})
+		if len(pairs) != 2*k {
+			t.Fatalf("%d hot words: %d pairs, want %d", k, len(pairs), 2*k)
+		}
+		// Allocations of appending len(pairs) pairs to a nil slice.
+		var grown []HotPair
+		for range pairs {
+			if len(grown) == cap(grown) {
+				allocs--
+			}
+			grown = append(grown, HotPair{})
+		}
+		if k == 1 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("%d hot words: %v allocations besides the result, %v with one", k, allocs, first)
+		}
+	}
+}
+
 func TestFindPairsLowEstimateDropped(t *testing.T) {
 	// Hot pair accesses are small while the line average is high, so the
 	// estimate cannot exceed the threshold.

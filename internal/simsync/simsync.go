@@ -57,7 +57,7 @@ func (p *MutexPool) addr(i int) uint64 { return p.base + uint64(i)*p.stride }
 // Lock acquires lock i on behalf of thread t, emitting the test-and-set
 // access pattern a native spinlock would.
 func (p *MutexPool) Lock(t *instr.Thread, i int) {
-	p.shadow[i].Lock()
+	t.Lock(&p.shadow[i])
 	// With the shadow mutex held the simulated word is always free; the
 	// load+store pair is the uncontended fast path every spinlock runs.
 	for t.Load32(p.addr(i)) != 0 {

@@ -97,6 +97,9 @@ const FlightDisabled = core.FlightDisabled
 // collects metrics without tracing events; see NewJSONLinesSink for a sink
 // that streams events as JSON lines. Delivery to the sink is serialized, so
 // it must not block or call back into the observer's Emit (see EventSink).
+// The observer carries no span tracer, so its registry has no
+// phase-latency histograms (predator_prediction_seconds,
+// predator_report_seconds): those observe span durations.
 func NewObserver(sink EventSink) *Observer { return obs.New(obs.NewRegistry(), sink) }
 
 // NewResilientObserver is NewObserver with the sink wrapped in a panic
@@ -246,8 +249,9 @@ func (d *Detector) WriteMetrics(w io.Writer) error {
 
 // WriteTimeline renders the detector's flight-recorder contents as Chrome
 // trace-event / Perfetto JSON (load the output in ui.perfetto.dev): one track
-// per thread with its recorded accesses and invalidation marks, plus the
-// detector's phase spans. It errors for uninstrumented detectors and when
+// per thread with its recorded accesses and invalidation marks, plus a
+// detector-phase track with the whole-run bar and the flagging, registration
+// and verification instants. It errors for uninstrumented detectors and when
 // flight recording was disabled (RuntimeConfig.FlightDepth = FlightDisabled).
 func (d *Detector) WriteTimeline(w io.Writer) error {
 	if d.rt == nil {
