@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	for _, name := range []string{"predator", "predbench", "predreplay", "predtop", "predlint", "predfleet"} {
+	for _, name := range []string{"predator", "predbench", "predreplay", "predtop", "predlint"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./"+name)
 		cmd.Dir = "."

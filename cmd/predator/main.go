@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"predator/internal/fixer"
-	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/obs"
 	"predator/internal/obs/agent"
-	"predator/internal/report"
 
 	// Register every workload suite.
 	_ "predator/internal/workloads/apps"
@@ -133,17 +131,7 @@ func main() {
 	if err != nil {
 		sess.Fail(err)
 	}
-	if err := sess.Finish(res.ThreadNames, func(meta fleet.RunMeta) *fleet.FindingsPayload {
-		if res.Report == nil {
-			return nil
-		}
-		meta.Workload, meta.Mode, meta.Threads = w.Name(), m.String(), *threads
-		meta.DurationNs = res.Duration.Nanoseconds()
-		return &fleet.FindingsPayload{
-			Run:     meta,
-			Reports: map[string]report.JSONReport{w.Name(): res.Report.ToJSON()},
-		}
-	}); err != nil {
+	if err := sess.Finish(res.ThreadNames); err != nil {
 		sess.Fail(err)
 	}
 

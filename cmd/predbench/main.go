@@ -14,11 +14,9 @@ import (
 	"strings"
 
 	"predator/internal/eval"
-	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/obs"
 	"predator/internal/obs/agent"
-	"predator/internal/report"
 
 	_ "predator/internal/workloads/apps"
 	_ "predator/internal/workloads/parsec"
@@ -105,27 +103,6 @@ func main() {
 	defer sess.Close()
 	cfg.Observer, cfg.Span, cfg.OnRuntime = sess.Observer, sess.Span, sess.OnRuntime
 
-	// The fleet gets every detection run's report as one findings payload
-	// (prediction-mode reports win over detect-only ones for the same
-	// workload), plus the benchmark document when -bench-json produced one.
-	var (
-		fleetReports = map[string]report.JSONReport{}
-		fleetModes   = map[string]harness.Mode{}
-		benchDoc     *eval.BenchDoc
-	)
-	if exports.Fleet.Enabled() {
-		cfg.OnResult = func(workload string, mode harness.Mode, res *harness.Result) {
-			if res == nil || res.Report == nil {
-				return
-			}
-			if prev, ok := fleetModes[workload]; ok && prev == harness.ModePredict && mode != harness.ModePredict {
-				return
-			}
-			fleetReports[workload] = res.Report.ToJSON()
-			fleetModes[workload] = mode
-		}
-	}
-
 	run := func(name string, fn func() error) {
 		fmt.Printf("==== %s ====\n", name)
 		if err := fn(); err != nil {
@@ -151,7 +128,6 @@ func main() {
 			if err != nil {
 				return err
 			}
-			benchDoc = doc
 			if *benchJSON != "" {
 				if err := doc.WriteJSONFile(*benchJSON); err != nil {
 					return err
@@ -282,10 +258,7 @@ func main() {
 			return nil
 		})
 	}
-	if err := sess.Finish(nil, func(meta fleet.RunMeta) *fleet.FindingsPayload {
-		meta.Workload, meta.Mode, meta.Threads = *experiment, "predict", *threads
-		return &fleet.FindingsPayload{Run: meta, Reports: fleetReports, Bench: benchDoc}
-	}); err != nil {
+	if err := sess.Finish(nil); err != nil {
 		sess.Fail(err)
 	}
 }

@@ -23,12 +23,10 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/elide"
-	"predator/internal/fleet"
 	"predator/internal/harness"
 	"predator/internal/mem"
 	"predator/internal/obs"
 	"predator/internal/obs/agent"
-	"predator/internal/report"
 	"predator/internal/trace"
 
 	_ "predator/internal/workloads/apps"
@@ -192,16 +190,7 @@ func doReplay(path string, cfg core.Config, ropts trace.ReplayOptions, budget ui
 			fmt.Fprintf(os.Stderr, "predreplay:   %d decoded event(s) rejected by the rebuilt heap\n", res.SemanticErrors)
 		}
 	}
-	// Re-analyzed traces join the fleet's run history and diffs like any
-	// live run.
-	if err := sess.Finish(res.Threads, func(meta fleet.RunMeta) *fleet.FindingsPayload {
-		meta.Workload, meta.Mode = filepath.Base(path), "replay"
-		meta.DurationNs = time.Since(start).Nanoseconds()
-		return &fleet.FindingsPayload{
-			Run:     meta,
-			Reports: map[string]report.JSONReport{meta.Workload: res.Report.ToJSON()},
-		}
-	}); err != nil {
+	if err := sess.Finish(res.Threads); err != nil {
 		sess.Fail(err)
 	}
 	fmt.Printf("replayed %d events in %s; %d threads named\n",

@@ -1,25 +1,15 @@
-// Command predtop is a live top-N viewer for the hottest cache lines. It has
-// two sources:
+// Command predtop is a live top-N viewer for the hottest cache lines of one
+// running detector. It polls the detector's diagnostics server (/hotlines,
+// see predator -diag-addr) and shows per-word ownership heatmaps.
 //
-//   - A single running detector's diagnostics server (/hotlines, see
-//     predator -diag-addr): the classic per-process view, with per-word
-//     ownership heatmaps and flight-recorder timeline dumps.
+//	predator -workload mysql -diag-addr 127.0.0.1:9142 &
+//	predtop -addr 127.0.0.1:9142
+//	predtop -addr 127.0.0.1:9142 -n 20 -interval 500ms
+//	predtop -addr 127.0.0.1:9142 -once          # one frame, no screen clear
 //
-//   - A predfleet service's aggregated view (/api/v1/hotlines): the hottest
-//     lines across every agent streaming into the fleet, each tagged with
-//     the project/agent it came from.
-//
-//     predator -workload mysql -diag-addr 127.0.0.1:9142 &
-//     predtop -addr 127.0.0.1:9142
-//     predtop -addr 127.0.0.1:9142 -n 20 -interval 500ms
-//     predtop -addr 127.0.0.1:9142 -once          # one frame, no screen clear
-//
-//     predtop -fleet 127.0.0.1:9177 -token s3cret             # fleet-wide
-//     predtop -fleet 127.0.0.1:9177 -token s3cret -project db # one project
-//
-// While the single-process viewer runs, 't' dumps the hottest line's
-// flight-recorder timeline (the server's /timeline endpoint) to a
-// Perfetto-loadable JSON file in -timeline-dir, and 'q' quits.
+// While the viewer runs, 't' dumps the hottest line's flight-recorder
+// timeline (the server's /timeline endpoint) to a Perfetto-loadable JSON
+// file in -timeline-dir, and 'q' quits.
 package main
 
 import (
@@ -27,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"time"
@@ -39,9 +28,6 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:9142", "diagnostics server address (predator -diag-addr)")
-		fleetSrv = flag.String("fleet", "", "predfleet address: render the fleet-wide aggregated hot-line view instead of one process")
-		token    = flag.String("token", "", "bearer token for -fleet")
-		project  = flag.String("project", "", "restrict -fleet view to one project")
 		n        = flag.Int("n", 10, "how many hot lines to show")
 		interval = flag.Duration("interval", time.Second, "refresh interval")
 		once     = flag.Bool("once", false, "render a single frame and exit (no screen clearing)")
@@ -57,19 +43,7 @@ func main() {
 	}
 
 	httpc := &http.Client{Timeout: 5 * time.Second}
-	fleetMode := *fleetSrv != ""
-	client := &topview.Client{HTTP: httpc}
-	if fleetMode {
-		q := url.Values{}
-		q.Set("n", fmt.Sprint(*n))
-		if *project != "" {
-			q.Set("project", *project)
-		}
-		client.URL = fmt.Sprintf("http://%s/api/v1/hotlines?%s", *fleetSrv, q.Encode())
-		client.Token = *token
-	} else {
-		client.URL = fmt.Sprintf("http://%s/hotlines?n=%d", *addr, *n)
-	}
+	client := &topview.Client{HTTP: httpc, URL: fmt.Sprintf("http://%s/hotlines?n=%d", *addr, *n)}
 
 	// Keyboard: best effort. Raw mode delivers single keystrokes; when it is
 	// unavailable (stdin is a pipe) keys still arrive after Enter.
@@ -95,24 +69,18 @@ func main() {
 		cols = termWidth(os.Stdout)
 	}
 	opts := topview.LoopOptions{
-		Interval:   *interval,
-		Once:       *once,
-		Out:        os.Stdout,
-		ShowOrigin: fleetMode,
-		Width:      cols,
-		Keys:       keys,
-	}
-	if fleetMode {
-		opts.Footer = "[q] quit"
-	} else {
-		// Timeline dumps only exist on the per-process diagnostics server.
-		opts.Footer = "[t] dump hottest line timeline   [q] quit"
-		opts.OnKey = func(k byte, last *topview.Frame) string {
+		Interval: *interval,
+		Once:     *once,
+		Out:      os.Stdout,
+		Width:    cols,
+		Footer:   "[t] dump hottest line timeline   [q] quit",
+		Keys:     keys,
+		OnKey: func(k byte, last *topview.Frame) string {
 			if k == 't' || k == 'T' {
 				return dumpTimeline(httpc, *addr, *tlDir, last)
 			}
 			return ""
-		}
+		},
 	}
 	if err := topview.Loop(client, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "predtop: %v\n", err)

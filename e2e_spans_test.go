@@ -1,173 +1,79 @@
 package predator_test
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
-	"time"
+
+	"predator/internal/report"
 )
 
-// TestE2EFindingToTraceWaterfall exercises the whole span-propagation path
-// through the real binaries: predator runs a workload with fleet streaming
-// on, ships its findings and its span trace to a live predfleet, and every
-// ingested finding can then be followed — finding provenance span_id →
-// /api/v1/traces detail containing that span → the /dash waterfall page for
-// the same trace.
-func TestE2EFindingToTraceWaterfall(t *testing.T) {
+// TestE2EFindingToSpan follows the span-propagation path through the real
+// binary: predator runs a workload with -json, -spans-out and -timeline-out
+// on, its stdout decodes as the report alone, and every finding's
+// provenance span_id names the report.collect span in the OTLP file.
+func TestE2EFindingToSpan(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the CLIs")
+		t.Skip("builds and runs the CLI")
 	}
 	tmp := t.TempDir()
-	build := func(name, pkg string) string {
-		t.Helper()
-		bin := filepath.Join(tmp, name)
-		cmd := exec.Command("go", "build", "-o", bin, pkg)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-		return bin
+	bin := filepath.Join(tmp, "predator")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/predator").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/predator: %v\n%s", err, out)
 	}
-	predatorBin := build("predator", "./cmd/predator")
-	fleetBin := build("predfleet", "./cmd/predfleet")
+	spansPath := filepath.Join(tmp, "spans.json")
+	cmd := exec.Command(bin, "-workload", "histogram", "-deterministic", "-json",
+		"-spans-out", spansPath, "-timeline-out", filepath.Join(tmp, "timeline.json"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("predator: %v\n%s", err, stderr.Bytes())
+	}
 
-	// Boot predfleet on a free port and scrape the bound address off stdout.
-	fleetCmd := exec.Command(fleetBin,
-		"-addr", "127.0.0.1:0",
-		"-store", filepath.Join(tmp, "store"),
-		"-tokens", "acme=s3cret",
-		"-no-sync")
-	stdout, err := fleetCmd.StdoutPipe()
+	// Status lines go to stderr: stdout must be the report and nothing else.
+	var rep report.JSONReport
+	if err := json.Unmarshal(stdout, &rep); err != nil {
+		t.Fatalf("stdout is not the JSON report: %v\n%s", err, stdout)
+	}
+	if len(rep.Findings) == 0 {
+		t.Fatal("histogram reported no findings")
+	}
+
+	raw, err := os.ReadFile(spansPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetCmd.Stderr = os.Stderr
-	if err := fleetCmd.Start(); err != nil {
-		t.Fatalf("starting predfleet: %v", err)
+	var doc struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []struct {
+					SpanID string `json:"spanId"`
+					Name   string `json:"name"`
+				} `json:"spans"`
+			} `json:"scopeSpans"`
+		} `json:"resourceSpans"`
 	}
-	defer func() {
-		_ = fleetCmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { _ = fleetCmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = fleetCmd.Process.Kill()
-			<-done
-		}
-	}()
-	var base string
-	sc := bufio.NewScanner(stdout)
-	bootRE := regexp.MustCompile(`serving on (http://[^ ]+) `)
-	for sc.Scan() {
-		if m := bootRE.FindStringSubmatch(sc.Text()); m != nil {
-			base = m[1]
-			break
-		}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", spansPath, err)
 	}
-	if base == "" {
-		t.Fatalf("predfleet never announced its address (scan err: %v)", sc.Err())
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-
-	// One agent run with fleet streaming on: the tracer rides along
-	// automatically and ships its snapshot beside the findings.
-	const runID = "e2erun"
-	agent := exec.Command(predatorBin,
-		"-workload", "histogram", "-threads", "4", "-mode", "predict",
-		"-fleet-addr", strings.TrimPrefix(base, "http://"),
-		"-fleet-token", "s3cret",
-		"-fleet-project", "db",
-		"-fleet-run", runID)
-	if out, err := agent.CombinedOutput(); err != nil {
-		t.Fatalf("predator run: %v\n%s", err, out)
-	}
-
-	get := func(path string) []byte {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, base+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer s3cret")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d (%s)", path, resp.StatusCode, body)
-		}
-		return body
-	}
-
-	// 1. The ingested findings carry provenance span IDs.
-	var findings struct {
-		Count    int `json:"count"`
-		Findings []struct {
-			Provenance *struct {
-				SpanID string `json:"span_id"`
-			} `json:"provenance"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(get("/api/v1/findings?project=db"), &findings); err != nil {
-		t.Fatalf("findings decode: %v", err)
-	}
-	if findings.Count == 0 {
-		t.Fatal("no findings ingested")
-	}
-	var spanID string
-	for _, f := range findings.Findings {
-		if f.Provenance != nil && f.Provenance.SpanID != "" {
-			spanID = f.Provenance.SpanID
-			break
+	collect := map[string]bool{}
+	for _, rs := range doc.ResourceSpans {
+		for _, ss := range rs.ScopeSpans {
+			for _, sp := range ss.Spans {
+				if sp.Name == "report.collect" {
+					collect[sp.SpanID] = true
+				}
+			}
 		}
 	}
-	if spanID == "" {
-		t.Fatal("no ingested finding carries a provenance span_id")
-	}
-
-	// 2. The run handle resolves to the agent-side trace, and the finding's
-	// span is in it.
-	var traces struct {
-		Trace *struct {
-			TraceID string `json:"trace_id"`
-			Spans   []struct {
-				SpanID string `json:"span_id"`
-				Name   string `json:"name"`
-			} `json:"spans"`
-		} `json:"trace"`
-	}
-	if err := json.Unmarshal(get("/api/v1/traces?project=db&id="+runID), &traces); err != nil {
-		t.Fatalf("traces decode: %v", err)
-	}
-	if traces.Trace == nil || len(traces.Trace.Spans) == 0 {
-		t.Fatal("run handle did not resolve to a span trace")
-	}
-	found := false
-	for _, s := range traces.Trace.Spans {
-		if s.SpanID == spanID {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("finding's span %s not present in the run's trace %s", spanID, traces.Trace.TraceID)
-	}
-
-	// 3. The dashboard waterfall for that trace renders.
-	page := string(get(fmt.Sprintf("/dash/db/trace/%s?token=s3cret", traces.Trace.TraceID)))
-	for _, want := range []string{"<svg", "cli.run", "harness.workload"} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("waterfall missing %q:\n%s", want, page)
+	for i, f := range rep.Findings {
+		if f.Provenance == nil || !collect[f.Provenance.SpanID] {
+			t.Errorf("finding %d (%#x): provenance %+v names no report.collect span of %v",
+				i, f.SpanStart, f.Provenance, collect)
 		}
 	}
 }

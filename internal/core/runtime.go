@@ -649,8 +649,8 @@ func (rt *Runtime) Provisional() *report.Report {
 // end-of-run Report: quarantining falsely-shared objects, verification
 // events, and the line-invalidation histogram. sp, when non-nil, is the
 // enclosing report span: verification outcomes are counted on it, and every
-// finding's provenance is stamped with its span ID so a fleet finding links
-// back to the agent-side trace.
+// finding's provenance is stamped with its span ID so a -json finding links
+// back to its span in the -spans-out trace.
 func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 	rt.flushMetrics()
 	rep := &report.Report{Geometry: rt.geom}

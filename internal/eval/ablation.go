@@ -48,12 +48,9 @@ func PolicyAblation(cfg Config) ([]PolicyRow, error) {
 			return nil, fmt.Errorf("eval: unknown workload %q", workload)
 		}
 		for _, p := range policies {
-			rc := cfg.Runtime
-			res, err := harness.Execute(w, harness.Options{
-				Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
-				Buggy: true, Runtime: &rc, Policy: p.policy,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-			})
+			opts := cfg.options(harness.ModePredict)
+			opts.Policy = p.policy
+			res, err := harness.Execute(w, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -105,16 +102,13 @@ func ThresholdAblation(cfg Config) ([]ThresholdRow, error) {
 	}
 	var rows []ThresholdRow
 	for _, th := range []uint64{1, cfg.Runtime.TrackingThreshold, 1 << 40} {
-		rc := cfg.Runtime
+		opts := cfg.options(harness.ModePredict)
+		rc := opts.Runtime
 		rc.TrackingThreshold = th
 		if rc.PredictionThreshold < th {
 			rc.PredictionThreshold = th * 2
 		}
-		res, err := harness.Execute(w, harness.Options{
-			Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
-			Buggy: true, Runtime: &rc,
-			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-		})
+		res, err := harness.Execute(w, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -164,13 +158,9 @@ func GrainAblation(cfg Config) ([]GrainRow, error) {
 	}
 	var rows []GrainRow
 	for _, grain := range []int{1, 4, 16, 64, 256} {
-		rc := cfg.Runtime
-		res, err := harness.Execute(w, harness.Options{
-			Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
-			Buggy: true, Runtime: &rc,
-			Deterministic: true, DeterministicGrain: grain,
-			Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-		})
+		opts := cfg.options(harness.ModePredict)
+		opts.Deterministic, opts.DeterministicGrain = true, grain
+		res, err := harness.Execute(w, opts)
 		if err != nil {
 			return nil, err
 		}

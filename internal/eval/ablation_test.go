@@ -8,7 +8,12 @@ import (
 )
 
 func TestPolicyAblationShape(t *testing.T) {
-	rows, err := PolicyAblation(testCfg())
+	// Deterministic: the sharing threads must interleave for full
+	// instrumentation to see both patterns, however the host schedules
+	// goroutines.
+	cfg := testCfg()
+	cfg.Deterministic = true
+	rows, err := PolicyAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

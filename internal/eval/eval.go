@@ -43,11 +43,6 @@ type Config struct {
 	// each memory baseline (see harness.Options.OnRuntime). The live
 	// diagnostics server uses it to follow the evaluation from run to run.
 	OnRuntime func(*core.Runtime)
-	// OnResult, when non-nil, receives every detection run's result right
-	// after the run completes. The fleet exporter hangs off this hook to
-	// stream each workload's findings report without the evaluation code
-	// knowing about the network.
-	OnResult func(workload string, mode harness.Mode, res *harness.Result)
 	// Deterministic serializes workers under the round-robin scheduler so
 	// detection counts are exactly reproducible — the mode the benchmark
 	// regression gate (predbench -bench-compare) runs in, since its
@@ -220,35 +215,42 @@ func Simulate(cfg Config, workload string, buggy bool, offset uint64) (uint64, c
 	return sim.ElapsedCycles(), sim.Stats(), nil
 }
 
+// options builds the harness options every instrumented run of an
+// experiment shares: the config's threads, scale, a private copy of its
+// runtime config, observer, runtime hook, determinism and elision manifest,
+// on the buggy variant at its natural placement. Experiments change only
+// what they vary, so none can drop a setting the caller asked for.
+func (cfg Config) options(mode harness.Mode) harness.Options {
+	rc := cfg.Runtime
+	return harness.Options{
+		Mode:          mode,
+		Threads:       cfg.Threads,
+		Scale:         cfg.Scale,
+		Buggy:         true,
+		Offset:        harness.UseDefaultOffset,
+		Runtime:       &rc,
+		Observer:      cfg.Observer,
+		OnRuntime:     cfg.OnRuntime,
+		Deterministic: cfg.Deterministic,
+		Elide:         cfg.Elide,
+	}
+}
+
 // detect runs one workload variant under PREDATOR and returns the result.
 func detect(cfg Config, workload string, mode harness.Mode, buggy bool, offset uint64) (*harness.Result, error) {
 	w, ok := harness.Get(workload)
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown workload %q", workload)
 	}
-	rc := cfg.Runtime
 	dsp := cfg.Observer.Spans().Start("eval.detect", cfg.Span)
 	dsp.SetLabel("workload", workload)
 	dsp.SetLabel("mode", mode.String())
-	res, err := harness.Execute(w, harness.Options{
-		Mode:          mode,
-		Threads:       cfg.Threads,
-		Scale:         cfg.Scale,
-		Buggy:         buggy,
-		Offset:        offset,
-		Runtime:       &rc,
-		Observer:      cfg.Observer,
-		OnRuntime:     cfg.OnRuntime,
-		Deterministic: cfg.Deterministic,
-		Elide:         cfg.Elide,
-		Span:          dsp,
-	})
+	opts := cfg.options(mode)
+	opts.Buggy, opts.Offset, opts.Span = buggy, offset, dsp
+	res, err := harness.Execute(w, opts)
 	if err == nil && res.Report != nil {
 		dsp.SetAttr("findings", uint64(len(res.Report.Findings)))
 	}
 	dsp.End()
-	if err == nil && cfg.OnResult != nil {
-		cfg.OnResult(workload, mode, res)
-	}
 	return res, err
 }

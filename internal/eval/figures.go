@@ -221,13 +221,10 @@ func Figure8(cfg Config, workloads []string) ([]Fig8Row, error) {
 		if !ok {
 			return nil, fmt.Errorf("eval: unknown workload %q", name)
 		}
-		rc := cfg.Runtime
 		measure := func(mode harness.Mode) (uint64, error) {
-			res, err := harness.Execute(w, harness.Options{
-				Mode: mode, Threads: cfg.Threads, Scale: cfg.Scale,
-				Buggy: true, Runtime: &rc, MeasureMemory: true,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-			})
+			opts := cfg.options(mode)
+			opts.MeasureMemory = true
+			res, err := harness.Execute(w, opts)
 			if err != nil {
 				return 0, err
 			}
@@ -317,7 +314,8 @@ func Figure10(cfg Config) ([]Fig10Row, error) {
 	for _, name := range Fig10Benchmarks() {
 		var defaultDur time.Duration
 		for _, rate := range Fig10SampleRates {
-			rc := cfg.Runtime
+			opts := cfg.options(harness.ModePredict)
+			rc := opts.Runtime
 			rc.SampleWindow = rate.Window
 			rc.SampleBurst = rate.Burst
 			// Thresholds apply to *recorded* events; the base evaluation
@@ -329,13 +327,8 @@ func Figure10(cfg Config) ([]Fig10Row, error) {
 			rc.ReportThreshold = max(1, uint64(float64(rc.ReportThreshold)*scale))
 			rc.PredictionThreshold = max(1, uint64(float64(rc.PredictionThreshold)*scale))
 			w, _ := harness.Get(name)
-			offset := harness.UseDefaultOffset
 			dur, err := medianDuration(cfg.Repeats, func() (time.Duration, error) {
-				res, err := harness.Execute(w, harness.Options{
-					Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
-					Buggy: true, Offset: offset, Runtime: &rc,
-					Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-				})
+				res, err := harness.Execute(w, opts)
 				if err != nil {
 					return 0, err
 				}
@@ -344,11 +337,7 @@ func Figure10(cfg Config) ([]Fig10Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := harness.Execute(w, harness.Options{
-				Mode: harness.ModePredict, Threads: cfg.Threads, Scale: cfg.Scale,
-				Buggy: true, Offset: offset, Runtime: &rc,
-				Observer: cfg.Observer, OnRuntime: cfg.OnRuntime, Elide: cfg.Elide,
-			})
+			res, err := harness.Execute(w, opts)
 			if err != nil {
 				return nil, err
 			}

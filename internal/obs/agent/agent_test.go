@@ -41,7 +41,7 @@ func TestFinishAttemptsEveryExport(t *testing.T) {
 		"-spans-out", path("spans.json"), "-timeline-out", path("timeline.json"))
 	s.Observer.Emit(obs.Event{Type: obs.EvAlloc, Addr: 0x40, Size: 64})
 
-	err := s.Finish(nil, nil)
+	err := s.Finish(nil)
 	if err == nil || !strings.Contains(err.Error(), "-timeline-out") {
 		t.Fatalf("Finish = %v, want the -timeline-out failure", err)
 	}
@@ -107,8 +107,8 @@ func TestConcurrentFlushes(t *testing.T) {
 	}
 }
 
-// TestNoRuntimeKeptWithoutReader: only -timeline-out, -diag-addr and the
-// fleet read the last runtime, so a session without them keeps none. A kept
+// TestNoRuntimeKeptWithoutReader: only -timeline-out and -diag-addr read the
+// last runtime, so a session without them keeps none. A kept
 // runtime stays reachable into the next workload's memory baseline, and
 // Figure 8 then charges every workload after the first one runtime too few.
 // A session with a reader gets nil before each baseline and still has the
@@ -134,7 +134,7 @@ func TestNoRuntimeKeptWithoutReader(t *testing.T) {
 				t.Errorf("%s %s: PREDATOR memory (%d) not above Original (%d)", args[0], r.Workload, r.PredatorBytes, r.OriginalBytes)
 			}
 		}
-		if err := s.Finish(nil, nil); err != nil {
+		if err := s.Finish(nil); err != nil {
 			t.Errorf("%s: Finish = %v", args[0], err)
 		}
 	}

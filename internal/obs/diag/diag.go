@@ -20,10 +20,9 @@
 //
 // The server holds its Source (the runtime) behind an atomic swap so tools
 // that run many successive runtimes (predbench) can re-point a live server
-// between runs. Every handler runs behind its own resilience.Guard, through
-// the httpguard core predfleet shares: a panicking endpoint returns 500 and,
-// past the panic budget, is quarantined to 503 — diagnostics can degrade,
-// detection never stops.
+// between runs. Every handler runs behind its own resilience.Guard (see
+// guard.go): a panicking endpoint returns 500 and, past the panic budget, is
+// quarantined to 503 — diagnostics can degrade, detection never stops.
 package diag
 
 import (
@@ -39,7 +38,6 @@ import (
 	"predator/internal/obs/spans"
 	"predator/internal/obs/traceout"
 	"predator/internal/report"
-	"predator/internal/resilience/httpguard"
 )
 
 // Source is the runtime surface the server scrapes. *core.Runtime
@@ -73,7 +71,7 @@ type sourceBox struct{ src Source }
 // Server is the diagnostics HTTP server. Construct with New, attach a
 // runtime with SetSource (before or after Start), and serve with Start.
 type Server struct {
-	*httpguard.Server // routes, Handler, Start and Shutdown
+	*guardedMux // routes, Handler, Start and Shutdown
 
 	reg    *obs.Registry
 	build  obs.BuildInfo
@@ -89,23 +87,23 @@ type Server struct {
 // renders an empty registry) identified by tool and build.
 func New(reg *obs.Registry, tool string, build obs.BuildInfo) *Server {
 	s := &Server{
-		Server:  httpguard.New("diag"),
-		reg:     reg,
-		build:   build,
-		tool:    tool,
-		started: time.Now(),
+		guardedMux: newGuardedMux(),
+		reg:        reg,
+		build:      build,
+		tool:       tool,
+		started:    time.Now(),
 	}
-	s.Handle("/healthz", s.handleHealthz)
-	s.Handle("/metrics", s.handleMetrics)
-	s.Handle("/hotlines", s.handleHotLines)
-	s.Handle("/findings", s.handleFindings)
-	s.Handle("/timeline", s.handleTimeline)
-	s.Handle("/spans", s.handleSpans)
-	s.HandleRaw("/debug/pprof/", "/debug/pprof", httppprof.Index)
-	s.HandleRaw("/debug/pprof/cmdline", "/debug/pprof/cmdline", httppprof.Cmdline)
-	s.HandleRaw("/debug/pprof/profile", "/debug/pprof/profile", httppprof.Profile)
-	s.HandleRaw("/debug/pprof/symbol", "/debug/pprof/symbol", httppprof.Symbol)
-	s.HandleRaw("/debug/pprof/trace", "/debug/pprof/trace", httppprof.Trace)
+	s.handle("/healthz", s.handleHealthz)
+	s.handle("/metrics", s.handleMetrics)
+	s.handle("/hotlines", s.handleHotLines)
+	s.handle("/findings", s.handleFindings)
+	s.handle("/timeline", s.handleTimeline)
+	s.handle("/spans", s.handleSpans)
+	s.handleRaw("/debug/pprof/", "/debug/pprof", httppprof.Index)
+	s.handleRaw("/debug/pprof/cmdline", "/debug/pprof/cmdline", httppprof.Cmdline)
+	s.handleRaw("/debug/pprof/profile", "/debug/pprof/profile", httppprof.Profile)
+	s.handleRaw("/debug/pprof/symbol", "/debug/pprof/symbol", httppprof.Symbol)
+	s.handleRaw("/debug/pprof/trace", "/debug/pprof/trace", httppprof.Trace)
 	return s
 }
 
@@ -163,7 +161,7 @@ func (s *Server) handleHealthz(_ *http.Request, buf *bytes.Buffer) (string, erro
 		SourceActive:  s.Src() != nil,
 		Quarantined:   s.Quarantined(),
 	}
-	return httpguard.WriteJSON(buf, h)
+	return writeJSON(buf, h)
 }
 
 func (s *Server) handleMetrics(_ *http.Request, buf *bytes.Buffer) (string, error) {
@@ -218,13 +216,13 @@ type HotLinesResponse struct {
 func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "no runtime attached")
+		return "", httpStatus(http.StatusServiceUnavailable, "no runtime attached")
 	}
 	n := DefaultHotLines
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil {
-			return "", httpguard.Status(http.StatusBadRequest, "invalid n: "+raw)
+			return "", httpStatus(http.StatusBadRequest, "invalid n: "+raw)
 		}
 		n = v
 	}
@@ -243,7 +241,7 @@ func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, err
 	// The elided counter lives in the instrumentation front-end, not
 	// core.Stats; read it from the metrics registry by name.
 	resp.Stats.Elided = s.elidedCount()
-	return httpguard.WriteJSON(buf, resp)
+	return writeJSON(buf, resp)
 }
 
 // elidedCount reads the static-elision counter from the registry (zero when
@@ -267,7 +265,7 @@ type FindingsResponse struct {
 func (s *Server) handleFindings(_ *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "no runtime attached")
+		return "", httpStatus(http.StatusServiceUnavailable, "no runtime attached")
 	}
 	rep := src.Provisional()
 	resp := FindingsResponse{
@@ -276,23 +274,23 @@ func (s *Server) handleFindings(_ *http.Request, buf *bytes.Buffer) (string, err
 		Counts:    rep.Counts(),
 		Report:    rep.ToJSON(),
 	}
-	return httpguard.WriteJSON(buf, resp)
+	return writeJSON(buf, resp)
 }
 
 func (s *Server) handleTimeline(r *http.Request, buf *bytes.Buffer) (string, error) {
 	src := s.Src()
 	if src == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "no runtime attached")
+		return "", httpStatus(http.StatusServiceUnavailable, "no runtime attached")
 	}
 	ts, ok := src.(TimelineSource)
 	if !ok {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "attached source does not support timelines")
+		return "", httpStatus(http.StatusServiceUnavailable, "attached source does not support timelines")
 	}
 	line := int64(-1)
 	if raw := r.URL.Query().Get("line"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || v < 0 {
-			return "", httpguard.Status(http.StatusBadRequest, "invalid line: "+raw)
+			return "", httpStatus(http.StatusBadRequest, "invalid line: "+raw)
 		}
 		line = v
 	}
@@ -300,13 +298,13 @@ func (s *Server) handleTimeline(r *http.Request, buf *bytes.Buffer) (string, err
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil {
-			return "", httpguard.Status(http.StatusBadRequest, "invalid n: "+raw)
+			return "", httpStatus(http.StatusBadRequest, "invalid n: "+raw)
 		}
 		n = v
 	}
 	d := ts.FlightDump(n, line)
 	if d == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "flight recording disabled")
+		return "", httpStatus(http.StatusServiceUnavailable, "flight recording disabled")
 	}
 	if err := traceout.WriteTimeline(buf, d, nil); err != nil {
 		return "", err
@@ -320,7 +318,7 @@ func (s *Server) handleTimeline(r *http.Request, buf *bytes.Buffer) (string, err
 func (s *Server) handleSpans(_ *http.Request, buf *bytes.Buffer) (string, error) {
 	t := s.tracer.Load()
 	if t == nil {
-		return "", httpguard.Status(http.StatusServiceUnavailable, "span tracing not enabled")
+		return "", httpStatus(http.StatusServiceUnavailable, "span tracing not enabled")
 	}
 	if err := spans.WriteOTLP(buf, s.tool, t.Snapshot()); err != nil {
 		return "", err

@@ -4,8 +4,6 @@ import (
 	"context"
 	"flag"
 	"time"
-
-	"predator/internal/resilience/httpguard"
 )
 
 // Flags is the standard -diag-* flag group the agent CLIs (predator,
@@ -50,7 +48,7 @@ func (f *Flags) ShutdownAfterLinger(s *Server, logf func(format string, args ...
 		}
 		time.Sleep(d)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), httpguard.ShutdownGrace)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	_ = s.Shutdown(ctx)
 }

@@ -1,4 +1,4 @@
-package httpguard_test
+package diag
 
 import (
 	"bytes"
@@ -14,25 +14,24 @@ import (
 	"time"
 
 	"predator/internal/resilience"
-	"predator/internal/resilience/httpguard"
 )
 
-// newServer registers one route per behaviour the diagnostics server and
-// predfleet rely on.
-func newServer() *httpguard.Server {
-	s := httpguard.New("test")
-	s.Handle("/ok", func(_ *http.Request, buf *bytes.Buffer) (string, error) {
-		return httpguard.WriteJSON(buf, map[string]string{"status": "ok"})
+// newGuardTestMux registers one route per behaviour the diagnostics
+// endpoints rely on.
+func newGuardTestMux() *guardedMux {
+	s := newGuardedMux()
+	s.handle("/ok", func(_ *http.Request, buf *bytes.Buffer) (string, error) {
+		return writeJSON(buf, map[string]string{"status": "ok"})
 	})
-	s.Handle("/panics", func(*http.Request, *bytes.Buffer) (string, error) { panic("render exploded") })
-	s.HandleRaw("/raw/", "/raw", func(http.ResponseWriter, *http.Request) { panic("stream exploded") })
-	s.Handle("/bare", func(*http.Request, *bytes.Buffer) (string, error) {
-		return "", httpguard.Status(http.StatusBadRequest, "invalid n")
+	s.handle("/panics", func(*http.Request, *bytes.Buffer) (string, error) { panic("render exploded") })
+	s.handleRaw("/raw/", "/raw", func(http.ResponseWriter, *http.Request) { panic("stream exploded") })
+	s.handle("/bare", func(*http.Request, *bytes.Buffer) (string, error) {
+		return "", httpStatus(http.StatusBadRequest, "invalid n")
 	})
-	s.Handle("/wrapped", func(*http.Request, *bytes.Buffer) (string, error) {
-		return "", fmt.Errorf("lookup: %w", httpguard.Status(http.StatusNotFound, "no such run"))
+	s.handle("/wrapped", func(*http.Request, *bytes.Buffer) (string, error) {
+		return "", fmt.Errorf("lookup: %w", httpStatus(http.StatusNotFound, "no such run"))
 	})
-	s.Handle("/plain", func(*http.Request, *bytes.Buffer) (string, error) {
+	s.handle("/plain", func(*http.Request, *bytes.Buffer) (string, error) {
 		return "", errors.New("store fault")
 	})
 	return s
@@ -50,7 +49,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestGuardedRoutes(t *testing.T) {
-	s := newServer()
+	s := newGuardTestMux()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -93,7 +92,7 @@ func TestGuardedRoutes(t *testing.T) {
 }
 
 func TestStartShutdownOnContextCancel(t *testing.T) {
-	s := newServer()
+	s := newGuardTestMux()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown before Start = %v", err)
 	}

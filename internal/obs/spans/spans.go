@@ -429,8 +429,8 @@ func parentString(p SpanID) string {
 	return p.String()
 }
 
-// Data is one finished span in wire form: the shape the diag /spans
-// endpoint, the fleet spans payload, and the waterfall renderer all share.
+// Data is one finished span in wire form: what Snapshot returns and
+// WriteOTLP renders for -spans-out and the diag /spans endpoint.
 type Data struct {
 	TraceID       string            `json:"trace_id"`
 	SpanID        string            `json:"span_id"`

@@ -1,9 +1,7 @@
-// Package topview is the shared client behind predtop: it polls a hot-lines
-// endpoint — either one process's diagnostics server (/hotlines) or the
-// fleet service's aggregated view (/api/v1/hotlines) — and renders the
-// refreshing top-N table. Factoring the fetch/render loop here keeps the
-// single-process and fleet modes on one code path; the predtop command adds
-// only terminal plumbing (raw keyboard mode, timeline dumps).
+// Package topview is the client behind predtop: it polls one process's
+// diagnostics server (/hotlines) and renders the refreshing top-N table. The
+// predtop command adds only terminal plumbing (raw keyboard mode, timeline
+// dumps).
 package topview
 
 import (
@@ -19,8 +17,8 @@ import (
 	"predator/internal/detect"
 )
 
-// Stats is the header counter block both servers report (snake_case JSON,
-// the same shape diag.StatsJSON and fleet.StatsSnapshot serialize to).
+// Stats is the header counter block /hotlines reports (the snake_case JSON
+// diag.StatsJSON serializes to).
 type Stats struct {
 	Accesses      uint64 `json:"accesses"`
 	Writes        uint64 `json:"writes"`
@@ -33,36 +31,21 @@ type Stats struct {
 	Elided        uint64 `json:"elided,omitempty"`
 }
 
-// Line is one hot line in a frame. The embedded LineSnapshot carries the
-// per-process diagnostics fields (including the per-word ownership view);
-// fleet responses instead pre-render Owners and tag the line's origin.
-type Line struct {
-	core.LineSnapshot
-	Owners  string `json:"owners,omitempty"`
-	Project string `json:"project,omitempty"`
-	Agent   string `json:"agent,omitempty"`
-	// Trace is the span trace ID of the run this line came from (fleet
-	// responses only, and only when the run shipped spans) — the handle into
-	// /dash/{project}/trace/{id}.
-	Trace string `json:"trace,omitempty"`
-}
-
-// Frame is one polled snapshot, decoded from either server's response.
+// Frame is one polled snapshot, decoded from the /hotlines response. Each
+// line carries the per-word ownership view the heatmap is drawn from.
 type Frame struct {
-	Tool      string `json:"tool"`
-	UnixMilli int64  `json:"unix_ms"`
-	Requested int    `json:"requested"`
-	Count     int    `json:"count"`
-	Agents    int    `json:"agents,omitempty"` // fleet only
-	Stats     Stats  `json:"stats"`
-	Lines     []Line `json:"lines"`
+	Tool      string              `json:"tool"`
+	UnixMilli int64               `json:"unix_ms"`
+	Requested int                 `json:"requested"`
+	Count     int                 `json:"count"`
+	Stats     Stats               `json:"stats"`
+	Lines     []core.LineSnapshot `json:"lines"`
 }
 
 // Client polls one hot-lines URL.
 type Client struct {
-	HTTP  *http.Client
-	URL   string // full URL including any query parameters
-	Token string // optional bearer token (fleet mode)
+	HTTP *http.Client
+	URL  string // full URL including any query parameters
 }
 
 // Poll fetches and decodes one frame.
@@ -71,14 +54,7 @@ func (c *Client) Poll() (*Frame, error) {
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 5 * time.Second}
 	}
-	req, err := http.NewRequest(http.MethodGet, c.URL, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := httpc.Do(req)
+	resp, err := httpc.Get(c.URL)
 	if err != nil {
 		return nil, err
 	}
@@ -123,68 +99,30 @@ func Heatmap(ln core.LineSnapshot) string {
 	return string(glyphs)
 }
 
-// owners resolves a line's heatmap: fleet responses pre-render it, the
-// diagnostics server ships raw words.
-func (ln *Line) owners() string {
-	if ln.Owners != "" {
-		return ln.Owners
-	}
-	return Heatmap(ln.LineSnapshot)
-}
-
-// origin formats the fleet origin tag.
-func (ln *Line) origin() string {
-	switch {
-	case ln.Project != "" && ln.Agent != "":
-		return ln.Project + "/" + ln.Agent
-	case ln.Project != "":
-		return ln.Project
-	case ln.Agent != "":
-		return ln.Agent
-	default:
-		return "-"
-	}
-}
-
-// shortTrace abbreviates a 32-hex trace ID to its 12-char prefix for the
-// table ("-" when the line has none); the full ID lives in the JSON frame.
-func shortTrace(id string) string {
-	if id == "" {
-		return "-"
-	}
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
-}
-
 // RenderOptions parameterize RenderWith.
 type RenderOptions struct {
-	// ShowOrigin adds the fleet ORIGIN column (project/agent per line).
-	ShowOrigin bool
 	// Width clips every rendered line to this many cells, marking clipped
 	// lines with a trailing '…' (0: unlimited). Narrow terminals stay
 	// readable instead of wrapping mid-table.
 	Width int
 }
 
-// Render draws one frame at unlimited width. showOrigin adds the fleet
-// ORIGIN column (project/agent each line came from).
-func Render(w io.Writer, r *Frame, showOrigin bool) {
-	RenderWith(w, r, RenderOptions{ShowOrigin: showOrigin})
+// Render draws one frame at unlimited width.
+func Render(w io.Writer, r *Frame) {
+	RenderWith(w, r, RenderOptions{})
 }
 
 // RenderWith draws one frame honoring the options.
 func RenderWith(w io.Writer, r *Frame, opts RenderOptions) {
 	if opts.Width > 0 {
 		var buf bytes.Buffer
-		renderFrame(&buf, r, opts)
+		renderFrame(&buf, r)
 		for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 			fmt.Fprintln(w, clipLine(line, opts.Width))
 		}
 		return
 	}
-	renderFrame(w, r, opts)
+	renderFrame(w, r)
 }
 
 // clipLine truncates one rendered line to width cells, spending the last
@@ -200,8 +138,7 @@ func clipLine(line string, width int) string {
 	return string(runes[:width-1]) + "…"
 }
 
-func renderFrame(w io.Writer, r *Frame, opts RenderOptions) {
-	showOrigin := opts.ShowOrigin
+func renderFrame(w io.Writer, r *Frame) {
 	st := r.Stats
 	fmt.Fprintf(w, "predtop — %s  %s\n", r.Tool,
 		time.UnixMilli(r.UnixMilli).Format("15:04:05"))
@@ -209,9 +146,6 @@ func renderFrame(w io.Writer, r *Frame, opts RenderOptions) {
 		st.Accesses, st.Writes, st.TrackedLines, st.VirtualLines, st.Invalidations)
 	if st.Elided > 0 {
 		fmt.Fprintf(w, " elided=%d", st.Elided)
-	}
-	if r.Agents > 0 {
-		fmt.Fprintf(w, "  agents=%d", r.Agents)
 	}
 	if st.Degraded {
 		fmt.Fprintf(w, "  DEGRADED(lines=%d evictions=%d)", st.DegradedLines, st.Evictions)
@@ -221,25 +155,8 @@ func renderFrame(w io.Writer, r *Frame, opts RenderOptions) {
 		fmt.Fprintln(w, "(no tracked lines yet)")
 		return
 	}
-	origin := ""
-	if showOrigin {
-		origin = fmt.Sprintf(" %-20s", "ORIGIN")
-	}
-	// The TRACE column appears only when at least one line carries a span
-	// trace ID, so single-process frames keep their old layout.
-	showTrace := false
-	for i := range r.Lines {
-		if r.Lines[i].Trace != "" {
-			showTrace = true
-			break
-		}
-	}
-	traceHdr := ""
-	if showTrace {
-		traceHdr = fmt.Sprintf(" %-12s", "TRACE")
-	}
-	fmt.Fprintf(w, "%-4s %-12s %10s %10s %9s %8s %-8s %-4s %4s%s%s  %s\n",
-		"#", "LINE", "INVAL", "ACCESS", "WRITES", "RECORDED", "WINDOW", "FLAG", "VIRT", origin, traceHdr, "WORD OWNERS")
+	fmt.Fprintf(w, "%-4s %-12s %10s %10s %9s %8s %-8s %-4s %4s  %s\n",
+		"#", "LINE", "INVAL", "ACCESS", "WRITES", "RECORDED", "WINDOW", "FLAG", "VIRT", "WORD OWNERS")
 	for i := range r.Lines {
 		ln := &r.Lines[i]
 		window := "-"
@@ -260,17 +177,9 @@ func renderFrame(w io.Writer, r *Frame, opts RenderOptions) {
 		if flags == "" {
 			flags = "-"
 		}
-		origin := ""
-		if showOrigin {
-			origin = fmt.Sprintf(" %-20s", ln.origin())
-		}
-		traceCol := ""
-		if showTrace {
-			traceCol = fmt.Sprintf(" %-12s", shortTrace(ln.Trace))
-		}
-		fmt.Fprintf(w, "%-4d %#-12x %10d %10d %9d %8d %-8s %-4s %4d%s%s  %s\n",
+		fmt.Fprintf(w, "%-4d %#-12x %10d %10d %9d %8d %-8s %-4s %4d  %s\n",
 			i+1, ln.Addr, ln.Invalidations, ln.Accesses, ln.Writes, ln.Recorded,
-			window, flags, len(ln.Virtual), origin, traceCol, ln.owners())
+			window, flags, len(ln.Virtual), Heatmap(*ln))
 	}
 }
 
@@ -283,8 +192,6 @@ type LoopOptions struct {
 	// Out receives the rendered frames (default os.Stdout semantics are the
 	// caller's: pass the writer explicitly).
 	Out io.Writer
-	// ShowOrigin adds the fleet ORIGIN column.
-	ShowOrigin bool
 	// Width clips rendered lines (0: unlimited); see RenderOptions.Width.
 	Width int
 	// Footer is printed under each frame in live mode.
@@ -297,8 +204,7 @@ type LoopOptions struct {
 	OnKey func(k byte, last *Frame) (status string)
 }
 
-// Loop runs the poll/render cycle until quit: the single code path behind
-// predtop's single-process and fleet modes. It returns an error only when
+// Loop runs predtop's poll/render cycle until quit. It returns an error only when
 // the first poll fails (bad address / server not up); a server that goes
 // away mid-session ends the loop cleanly after two confirming failures.
 func Loop(c *Client, opts LoopOptions) error {
@@ -319,7 +225,7 @@ func Loop(c *Client, opts LoopOptions) error {
 			if !opts.Once {
 				fmt.Fprint(opts.Out, "\033[2J\033[H") // clear screen, home cursor
 			}
-			RenderWith(opts.Out, resp, RenderOptions{ShowOrigin: opts.ShowOrigin, Width: opts.Width})
+			RenderWith(opts.Out, resp, RenderOptions{Width: opts.Width})
 			if !opts.Once {
 				if opts.Footer != "" {
 					fmt.Fprintln(opts.Out, "\n"+opts.Footer)

@@ -3,10 +3,9 @@
 // accessors. In the paper's setting this is automatic — pthread mutexes are
 // ordinary memory, so the instrumentation sees every lock-word access and
 // PREDATOR can catch false sharing *among the synchronization objects
-// themselves* (the Boost spinlock pool is exactly that). Here the primitives
-// make that pattern reusable: allocate a MutexPool or CounterArray and the
-// detector observes the same lock-word traffic a native pthread program
-// would generate.
+// themselves* (the Boost spinlock pool is exactly that). Here a MutexPool
+// makes that pattern reusable: the detector observes the same lock-word
+// traffic a native pthread program would generate.
 //
 // Real mutual exclusion is provided by shadow Go mutexes; the simulated
 // lock words carry the access pattern. Packed layouts (stride = word size)
@@ -76,89 +75,4 @@ func (p *MutexPool) With(t *instr.Thread, i int, fn func()) {
 	p.Lock(t, i)
 	defer p.Unlock(t, i)
 	fn()
-}
-
-// CounterArray is an array of per-slot counters on the simulated heap —
-// the recurring per-thread statistics pattern. Packed strides reproduce the
-// paper's most common bug; padded strides are the fix.
-type CounterArray struct {
-	base   uint64
-	stride uint64
-	n      int
-}
-
-// NewCounterArray allocates n counters with the given stride (8 = packed,
-// >= 128 = padded).
-func NewCounterArray(t *instr.Thread, n int, stride uint64) (*CounterArray, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("simsync: counter array size must be positive, got %d", n)
-	}
-	if stride < 8 {
-		return nil, fmt.Errorf("simsync: stride %d below counter word size", stride)
-	}
-	base, err := t.AllocWithOffset(stride*uint64(n), 0)
-	if err != nil {
-		return nil, err
-	}
-	return &CounterArray{base: base, stride: stride, n: n}, nil
-}
-
-// Base returns the array's starting address.
-func (c *CounterArray) Base() uint64 { return c.base }
-
-// Add bumps counter i by delta. Counters are owned per thread by
-// convention; simsync does not serialize them.
-func (c *CounterArray) Add(t *instr.Thread, i int, delta int64) {
-	addr := c.base + uint64(i)*c.stride
-	t.StoreInt64(addr, t.LoadInt64(addr)+delta)
-}
-
-// Load reads counter i.
-func (c *CounterArray) Load(t *instr.Thread, i int) int64 {
-	return t.LoadInt64(c.base + uint64(i)*c.stride)
-}
-
-// SimBarrier is an N-party barrier whose arrival counter and generation
-// word live on the simulated heap, so barrier traffic shows up in reports
-// exactly as a pthread_barrier_t's memory would. (Heavy true sharing on the
-// arrival counter is expected and must classify as TRUE sharing.)
-type SimBarrier struct {
-	parties int
-	addr    uint64 // [count(8) | generation(8)]
-	mu      sync.Mutex
-	cond    *sync.Cond
-}
-
-// NewSimBarrier allocates barrier state for the given number of parties.
-func NewSimBarrier(t *instr.Thread, parties int) (*SimBarrier, error) {
-	if parties <= 0 {
-		return nil, fmt.Errorf("simsync: barrier parties must be positive, got %d", parties)
-	}
-	addr, err := t.AllocWithOffset(16, 0)
-	if err != nil {
-		return nil, err
-	}
-	b := &SimBarrier{parties: parties, addr: addr}
-	b.cond = sync.NewCond(&b.mu)
-	return b, nil
-}
-
-// Wait blocks until all parties arrive, emitting the counter/generation
-// accesses a native barrier performs.
-func (b *SimBarrier) Wait(t *instr.Thread) {
-	b.mu.Lock()
-	gen := t.Load64(b.addr + 8)
-	arrived := t.Load64(b.addr) + 1
-	t.Store64(b.addr, arrived)
-	if arrived == uint64(b.parties) {
-		t.Store64(b.addr, 0)
-		t.Store64(b.addr+8, gen+1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for t.Load64(b.addr+8) == gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

@@ -8,7 +8,6 @@ import (
 	"predator/internal/core"
 	"predator/internal/instr"
 	"predator/internal/mem"
-	"predator/internal/report"
 )
 
 // env builds a heap + runtime + instrumenter with test thresholds.
@@ -126,94 +125,6 @@ func TestPaddedPoolClean(t *testing.T) {
 	}
 }
 
-func TestCounterArrayPackedVsPadded(t *testing.T) {
-	for _, tc := range []struct {
-		stride uint64
-		dirty  bool
-	}{{8, true}, {128, false}} {
-		in, rt := env(t)
-		main := in.NewThread("main")
-		arr, err := NewCounterArray(main, 8, tc.stride)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			th := in.NewThread("w")
-			wg.Add(1)
-			go func(th *instr.Thread, id int) {
-				defer wg.Done()
-				for i := 0; i < 8000; i++ {
-					arr.Add(th, id, 1)
-					if i%16 == 15 {
-						runtime.Gosched()
-					}
-				}
-			}(th, w)
-		}
-		wg.Wait()
-		got := len(rt.Report().FalseSharing()) > 0
-		if got != tc.dirty {
-			t.Errorf("stride %d: false sharing = %v, want %v", tc.stride, got, tc.dirty)
-		}
-		if sum := arr.Load(main, 0); sum != 8000 {
-			t.Errorf("stride %d: counter 0 = %d", tc.stride, sum)
-		}
-	}
-}
-
-func TestSimBarrierSynchronizesAndClassifiesTrue(t *testing.T) {
-	in, rt := env(t)
-	main := in.NewThread("main")
-	const parties = 4
-	b, err := NewSimBarrier(main, parties)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 500
-	var mu sync.Mutex
-	maxInRound := 0
-	inRound := 0
-	var wg sync.WaitGroup
-	for w := 0; w < parties; w++ {
-		th := in.NewThread("w")
-		wg.Add(1)
-		go func(th *instr.Thread) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				mu.Lock()
-				inRound++
-				if inRound > maxInRound {
-					maxInRound = inRound
-				}
-				mu.Unlock()
-				b.Wait(th)
-				mu.Lock()
-				inRound--
-				mu.Unlock()
-			}
-		}(th)
-	}
-	wg.Wait()
-	if maxInRound != parties {
-		t.Errorf("barrier never gathered all %d parties (max %d)", parties, maxInRound)
-	}
-	// The barrier words are heavy TRUE sharing — they must never be
-	// reported as false sharing.
-	if fs := rt.Report().FalseSharing(); len(fs) != 0 {
-		t.Errorf("barrier words misclassified as false sharing:\n%s", rt.Report().String())
-	}
-	sawTrue := false
-	for _, f := range rt.Report().Findings {
-		if f.Sharing == report.SharingTrue {
-			sawTrue = true
-		}
-	}
-	if !sawTrue {
-		t.Error("barrier contention produced no true-sharing finding")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	in, _ := env(t)
 	main := in.NewThread("main")
@@ -222,14 +133,5 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewMutexPool(main, 4, 2); err == nil {
 		t.Error("sub-word stride accepted")
-	}
-	if _, err := NewCounterArray(main, -1, 64); err == nil {
-		t.Error("negative counter array accepted")
-	}
-	if _, err := NewCounterArray(main, 4, 4); err == nil {
-		t.Error("sub-word counter stride accepted")
-	}
-	if _, err := NewSimBarrier(main, 0); err == nil {
-		t.Error("zero-party barrier accepted")
 	}
 }

@@ -107,11 +107,18 @@ func runRW(c *harness.Ctx) (uint64, error) {
 	return wlutil.Mix64(sink, main.Load64(b.Addr(0, 0))), nil
 }
 
+// trueShareGap spaces true_share's words: farther apart than a doubled
+// line, so that prediction sees no false sharing between them.
+const trueShareGap = 256
+
 // runTrue: all threads increment one shared word — real contention that the
-// detector must classify as true sharing, never as false sharing.
+// detector must classify as true sharing, never as false sharing. After each
+// increment a thread also writes a word of its own, outside the lock, which
+// gives the deterministic scheduler a point to hand on the turn while no
+// thread holds the lock.
 func runTrue(c *harness.Ctx) (uint64, error) {
 	main := c.NewThread("main")
-	addr, err := main.AllocWithOffset(64, 0)
+	addr, err := main.AllocWithOffset(trueShareGap*uint64(c.Threads+1), 0)
 	if err != nil {
 		return 0, err
 	}
@@ -121,10 +128,12 @@ func runTrue(c *harness.Ctx) (uint64, error) {
 	// same word — the access PATTERN is the subject, not the sum.
 	var mu sync.Mutex
 	c.Parallel(c.Threads, "true", func(t *instr.Thread, id int) {
+		own := addr + trueShareGap*uint64(id+1)
 		for i := 0; i < n; i++ {
 			t.Lock(&mu)
 			t.Store64(addr, t.Load64(addr)+1)
 			mu.Unlock()
+			t.Store64(own, uint64(i))
 			c.MaybeYield(i)
 		}
 	})

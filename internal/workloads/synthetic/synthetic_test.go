@@ -71,7 +71,9 @@ func TestRWShareNeedsReadInstrumentation(t *testing.T) {
 }
 
 func TestTrueShareNeverFalse(t *testing.T) {
-	res := run(t, "true_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+	// Deterministic: the workers must interleave on the shared word,
+	// however the host schedules goroutines.
+	res := run(t, "true_share", harness.Options{Mode: harness.ModePredict, Buggy: true, Deterministic: true})
 	if res.FalseSharingFound() {
 		t.Errorf("true sharing reported as false sharing:\n%s", res.Report.String())
 	}
