@@ -93,20 +93,20 @@ func TestChaosCorruptTraceAlwaysReplays(t *testing.T) {
 	}
 }
 
-// TestChaosSinkQuarantineUnderDetection attaches a deterministically
-// panicking event sink to a concurrent detection run. The panics must be
-// absorbed, the sink quarantined, and the report unaffected.
-func TestChaosSinkQuarantineUnderDetection(t *testing.T) {
-	sink := faultinject.NewFailingSink(5)
-	obsr := predator.NewResilientObserver("failing-sink", sink)
+// TestChaosHookQuarantineUnderDetection registers an always-panicking alloc
+// hook on the heap of a concurrent detection run whose workers allocate as
+// they store. The panics must be absorbed, the hook quarantined, and the
+// report unaffected.
+func TestChaosHookQuarantineUnderDetection(t *testing.T) {
 	cfg := predator.DefaultRuntimeConfig()
 	cfg.TrackingThreshold = 10
 	cfg.ReportThreshold = 50
 	cfg.SampleWindow = 0
-	d, err := predator.New(predator.Options{Runtime: &cfg, Observer: obsr})
+	d, err := predator.New(predator.Options{Runtime: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Heap().AddAllocHook(func(mem.Object) { panic("injected hook panic") })
 	t0 := d.Thread("setup")
 	addr, err := t0.Alloc(64)
 	if err != nil {
@@ -119,6 +119,12 @@ func TestChaosSinkQuarantineUnderDetection(t *testing.T) {
 			defer wg.Done()
 			th := d.Thread("worker")
 			for i := 0; i < 2000; i++ {
+				if i%100 == 0 {
+					if _, err := th.Alloc(16); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				th.Store64(addr+uint64(g*8), uint64(i))
 			}
 		}(g)
@@ -132,12 +138,12 @@ func TestChaosSinkQuarantineUnderDetection(t *testing.T) {
 		pb.Store64(addr+8, uint64(i))
 	}
 
-	if sink.Panics() == 0 {
-		t.Fatal("failing sink never panicked; quarantine path untested")
+	if panics, quarantined := d.Heap().HookPanics(); quarantined != 1 {
+		t.Fatalf("HookPanics = %d panics, %d quarantined hooks; want 1 quarantined", panics, quarantined)
 	}
 	rep := d.Report()
 	if len(rep.FalseSharing()) == 0 {
-		t.Error("false sharing lost while the sink was panicking")
+		t.Error("false sharing lost while the alloc hook was panicking")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -235,12 +236,16 @@ func TestExamplesRun(t *testing.T) {
 	}
 }
 
+// TestPredatorMetricsAndEventsExport checks that a detection run's metrics
+// and spans record each detector lifecycle fact: allocation, promotion
+// (§2.4.1), invalidations (§2.3.1), hot pairs (§3.3), virtual lines and
+// their verification (§3.4), the worker threads and the report's findings.
 func TestPredatorMetricsAndEventsExport(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.prom")
-	events := filepath.Join(dir, "events.jsonl")
+	spansOut := filepath.Join(dir, "spans.json")
 	out, err := run(t, "predator", "-workload", "histogram", "-quiet", "-deterministic",
-		"-metrics-out", metrics, "-events-out", events)
+		"-metrics-out", metrics, "-spans-out", spansOut)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -255,8 +260,11 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 	}
 	for _, name := range []string{
 		"predator_accesses_total",
+		"predator_allocs_total",
+		"predator_track_promotions_total",
 		"predator_invalidations_total",
 		"predator_tracked_lines",
+		"predator_hot_pairs_total",
 		"predator_virtual_lines",
 	} {
 		v, ok := values[name]
@@ -272,16 +280,28 @@ func TestPredatorMetricsAndEventsExport(t *testing.T) {
 		}
 	}
 
-	// The event stream must be JSON lines covering the detector lifecycle.
-	types := readEvents(t, events)
-	for _, want := range []string{"thread", "alloc", "track_promoted",
-		"invalidation", "hot_pair", "virtual_line", "verification", "report"} {
-		if types[want] == 0 {
-			t.Errorf("no %q events (saw %v)", want, types)
+	// Span attributes, summed over the spans of each name.
+	sums := map[string]uint64{}
+	for _, sp := range readSpans(t, spansOut) {
+		for _, kv := range sp.Attributes {
+			if kv.Value.IntValue != "" {
+				n, err := strconv.ParseUint(kv.Value.IntValue, 10, 64)
+				if err != nil {
+					t.Fatalf("%s %s: %v", sp.Name, kv.Key, err)
+				}
+				sums[sp.Name+" "+kv.Key] += n
+			}
 		}
 	}
-	if len(types) < 6 {
-		t.Errorf("only %d distinct event types: %v", len(types), types)
+	for _, want := range []string{
+		"harness.parallel threads",
+		"predict.search hot_pairs",
+		"report.collect findings",
+		"report.collect verified",
+	} {
+		if sums[want] == 0 {
+			t.Errorf("span attribute %s = 0, want > 0 (attributes: %v)", want, sums)
+		}
 	}
 }
 
@@ -289,29 +309,17 @@ func TestPredreplayExportsObservability(t *testing.T) {
 	tracePath := recordTrace(t, "histogram")
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "replay.prom")
-	events := filepath.Join(dir, "replay.jsonl")
-	out, err := run(t, "predreplay", "-replay", tracePath,
-		"-metrics-out", metrics, "-events-out", events)
+	out, err := run(t, "predreplay", "-replay", tracePath, "-metrics-out", metrics)
 	if err != nil {
 		t.Fatalf("replay: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "invalidations=") {
 		t.Errorf("replay stats line missing invalidations:\n%s", out)
 	}
-	raw, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"predator_accesses_total", "predator_allocs_total"} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("replay metrics missing %s", want)
+	values := readProm(t, metrics)
+	for _, name := range []string{"predator_accesses_total", "predator_allocs_total"} {
+		if values[name] <= 0 {
+			t.Errorf("replay metrics: %s = %v, want > 0 (heap not observed?)", name, values[name])
 		}
-	}
-	evRaw, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(evRaw), `"type":"alloc"`) {
-		t.Error("replay events missing alloc events (heap not observed)")
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestExportersAllCLIs runs each agent CLI with all four file exporters and
+// TestExportersAllCLIs runs each agent CLI with all three file exporters and
 // checks every file's schema, then checks that the CLI's flag names and
 // defaults still match testdata/flags.
 func TestExportersAllCLIs(t *testing.T) {
@@ -29,10 +29,9 @@ func TestExportersAllCLIs(t *testing.T) {
 		t.Run(row.bin, func(t *testing.T) {
 			dir := t.TempDir()
 			metrics := filepath.Join(dir, "metrics.prom")
-			events := filepath.Join(dir, "events.jsonl")
 			timeline := filepath.Join(dir, "timeline.json")
 			spansOut := filepath.Join(dir, "spans.json")
-			out, err := run(t, row.bin, append(row.args, "-metrics-out", metrics, "-events-out", events,
+			out, err := run(t, row.bin, append(row.args, "-metrics-out", metrics,
 				"-timeline-out", timeline, "-spans-out", spansOut)...)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, out)
@@ -40,9 +39,6 @@ func TestExportersAllCLIs(t *testing.T) {
 
 			if _, ok := readProm(t, metrics)["predator_accesses_total"]; !ok {
 				t.Error("metrics snapshot has no predator_accesses_total")
-			}
-			if len(readEvents(t, events)) == 0 {
-				t.Error("event file is empty")
 			}
 
 			var tl struct {
@@ -64,39 +60,18 @@ func TestExportersAllCLIs(t *testing.T) {
 				t.Errorf("timeline has %d detector phases tracks, want 1", phaseTracks)
 			}
 
-			var otlp struct {
-				ResourceSpans []struct {
-					ScopeSpans []struct {
-						Spans []struct {
-							Name       string `json:"name"`
-							Parent     string `json:"parentSpanId"`
-							Attributes []struct {
-								Key   string `json:"key"`
-								Value struct {
-									StringValue string `json:"stringValue"`
-								} `json:"value"`
-							} `json:"attributes"`
-						} `json:"spans"`
-					} `json:"scopeSpans"`
-				} `json:"resourceSpans"`
-			}
-			readJSON(t, spansOut, &otlp)
 			var rootTools []string
-			for _, rs := range otlp.ResourceSpans {
-				for _, ss := range rs.ScopeSpans {
-					for _, sp := range ss.Spans {
-						if sp.Name != "cli.run" || sp.Parent != "" {
-							continue
-						}
-						tool := ""
-						for _, kv := range sp.Attributes {
-							if kv.Key == "tool" {
-								tool = kv.Value.StringValue
-							}
-						}
-						rootTools = append(rootTools, tool)
+			for _, sp := range readSpans(t, spansOut) {
+				if sp.Name != "cli.run" || sp.Parent != "" {
+					continue
+				}
+				tool := ""
+				for _, kv := range sp.Attributes {
+					if kv.Key == "tool" {
+						tool = kv.Value.StringValue
 					}
 				}
+				rootTools = append(rootTools, tool)
 			}
 			if len(rootTools) != 1 || rootTools[0] != row.bin {
 				t.Errorf("parentless cli.run spans have tool labels %q, want exactly [%s]", rootTools, row.bin)
@@ -115,7 +90,7 @@ func TestExportersAllCLIs(t *testing.T) {
 }
 
 // TestErrorExitFlushesExports: a run that fails part way still leaves a
-// metrics snapshot and an event file of whole JSON lines.
+// metrics snapshot holding what it did before the error.
 func TestErrorExitFlushesExports(t *testing.T) {
 	damaged := recordTrace(t, "histogram")
 	f, err := os.OpenFile(damaged, os.O_RDWR, 0)
@@ -141,18 +116,16 @@ func TestErrorExitFlushesExports(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.bin, func(t *testing.T) {
-			dir := t.TempDir()
-			metrics := filepath.Join(dir, "metrics.prom")
-			events := filepath.Join(dir, "events.jsonl")
-			out, err := run(t, row.bin, append(row.args, "-metrics-out", metrics, "-events-out", events)...)
+			metrics := filepath.Join(t.TempDir(), "metrics.prom")
+			out, err := run(t, row.bin, append(row.args, "-metrics-out", metrics)...)
 			if err == nil {
 				t.Fatalf("%s exited 0, want an error exit:\n%s", row.bin, out)
 			}
 			if _, err := os.Stat(metrics); err != nil {
-				t.Errorf("no metrics snapshot after the error exit: %v", err)
+				t.Fatalf("no metrics snapshot after the error exit: %v", err)
 			}
-			if len(readEvents(t, events)) == 0 {
-				t.Error("no events flushed before the error exit")
+			if n := readProm(t, metrics)["predator_accesses_total"]; n <= 0 {
+				t.Errorf("predator_accesses_total = %v after the error exit, want the accesses run before it", n)
 			}
 		})
 	}
@@ -218,34 +191,37 @@ func readProm(t *testing.T, path string) map[string]float64 {
 	return values
 }
 
-// readEvents checks that every line of a JSON-lines event file parses and
-// that seq strictly increases, and counts the events of each type.
-func readEvents(t *testing.T, path string) map[string]int {
+// otlpSpan is one span of an OTLP/JSON span file.
+type otlpSpan struct {
+	Name       string `json:"name"`
+	Parent     string `json:"parentSpanId"`
+	Attributes []struct {
+		Key   string `json:"key"`
+		Value struct {
+			StringValue string `json:"stringValue"`
+			IntValue    string `json:"intValue"` // OTLP encodes int64 as string
+		} `json:"value"`
+	} `json:"attributes"`
+}
+
+// readSpans decodes an OTLP/JSON span file into its spans.
+func readSpans(t *testing.T, path string) []otlpSpan {
 	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	var doc struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []otlpSpan `json:"spans"`
+			} `json:"scopeSpans"`
+		} `json:"resourceSpans"`
 	}
-	types := map[string]int{}
-	if len(raw) == 0 {
-		return types
+	readJSON(t, path, &doc)
+	var out []otlpSpan
+	for _, rs := range doc.ResourceSpans {
+		for _, ss := range rs.ScopeSpans {
+			out = append(out, ss.Spans...)
+		}
 	}
-	var last uint64
-	for i, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
-		var ev struct {
-			Seq  uint64 `json:"seq"`
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("%s line %d: %v: %q", path, i+1, err, line)
-		}
-		if ev.Seq <= last {
-			t.Fatalf("%s line %d: seq %d after %d", path, i+1, ev.Seq, last)
-		}
-		last = ev.Seq
-		types[ev.Type]++
-	}
-	return types
+	return out
 }
 
 // readJSON decodes a JSON file into v.

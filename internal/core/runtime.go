@@ -92,9 +92,9 @@ type Config struct {
 	// timelines by default. FlightDisabled (-1) turns recording off; other
 	// negative values are rejected by Validate.
 	FlightDepth int
-	// Observer, when non-nil, receives runtime metrics and — when it has
-	// an event sink — lifecycle trace events. The nil default leaves the
-	// fast path uninstrumented.
+	// Observer, when non-nil, receives runtime metrics and — when it
+	// carries a span tracer — the predict.search and report.collect spans.
+	// The nil default leaves the fast path uninstrumented.
 	Observer *obs.Observer
 }
 
@@ -390,10 +390,6 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 			if ti&(obs.SyncBatch-1) == 0 {
 				obs.SyncCounter(rt.invC, ti, &rt.pushedInvs)
 			}
-			if rt.obs.Tracing() {
-				rt.obs.Emit(obs.Event{Type: obs.EvInvalidation, TID: tid, Addr: addr,
-					Line: line, Count: track.Invalidations()})
-			}
 		}
 	}
 	if rt.cfg.Prediction && isWrite &&
@@ -434,10 +430,6 @@ func (rt *Runtime) installOne(line uint64) *detect.Track {
 	if t == fresh {
 		rt.promotionsC.Inc()
 		rt.trackedG.Add(1)
-		if rt.obs.Tracing() {
-			rt.obs.Emit(obs.Event{Type: obs.EvTrackPromoted, Line: line,
-				Addr: rt.mapping.LineBase(line), Count: rt.sh.Writes(line)})
-		}
 		rt.governAdmit(line, fresh)
 	}
 	return t
@@ -449,7 +441,7 @@ func (rt *Runtime) installOne(line uint64) *detect.Track {
 // line is report-worthy (its invalidations already crossed ReportThreshold —
 // a finding in progress the paper would report), the fresh line itself
 // enters tracking degraded instead. Either way detection continues, with
-// the loss of detail accounted in metrics, events, and Stats.
+// the loss of detail accounted in metrics and Stats.
 func (rt *Runtime) governAdmit(line uint64, fresh *detect.Track) {
 	if rt.trackBudget == nil {
 		return
@@ -463,14 +455,14 @@ func (rt *Runtime) governAdmit(line uint64, fresh *detect.Track) {
 	// evicting until this line holds one. The loop terminates: each pass
 	// either acquires or permanently degrades one line.
 	for !rt.trackBudget.Acquire() {
-		victim, vline, ok := rt.coldestEvictable(line)
-		if !ok {
+		victim := rt.coldestEvictable(line)
+		if victim == nil {
 			fresh.Degrade()
-			rt.noteDegraded(line, "degrade_new")
+			rt.noteDegraded(false)
 			return
 		}
 		victim.Degrade()
-		rt.noteDegraded(vline, "evict")
+		rt.noteDegraded(true)
 		rt.trackBudget.Release()
 	}
 }
@@ -478,8 +470,9 @@ func (rt *Runtime) governAdmit(line uint64, fresh *detect.Track) {
 // coldestEvictable picks the governor's eviction victim: the non-degraded
 // tracked line (other than the one being admitted) with the fewest
 // invalidations, breaking ties by total accesses. Lines at or above
-// ReportThreshold are never evicted — they are findings in progress.
-func (rt *Runtime) coldestEvictable(exclude uint64) (victim *detect.Track, vline uint64, ok bool) {
+// ReportThreshold are never evicted — they are findings in progress. It
+// returns nil when no line is evictable.
+func (rt *Runtime) coldestEvictable(exclude uint64) (victim *detect.Track) {
 	rt.sh.ForEachTracked(func(line uint64, t *detect.Track) {
 		if line == exclude || t.Degraded() {
 			return
@@ -490,25 +483,22 @@ func (rt *Runtime) coldestEvictable(exclude uint64) (victim *detect.Track, vline
 		}
 		if victim == nil || inv < victim.Invalidations() ||
 			(inv == victim.Invalidations() && t.Accesses() < victim.Accesses()) {
-			victim, vline = t, line
+			victim = t
 		}
 	})
-	return victim, vline, victim != nil
+	return victim
 }
 
-// noteDegraded accounts one line's degradation in metrics and events.
-func (rt *Runtime) noteDegraded(line uint64, phase string) {
-	n := rt.degradedLines.Add(1)
+// noteDegraded accounts one line's degradation in metrics: an evicted cold
+// line, or (evicted false) a fresh line that entered tracking degraded.
+func (rt *Runtime) noteDegraded(evicted bool) {
+	rt.degradedLines.Add(1)
 	rt.trackedG.Add(-1)
 	rt.degradedG.Add(1)
 	rt.degradedModeG.Set(1)
-	if phase == "evict" {
+	if evicted {
 		rt.evictions.Add(1)
 		rt.evictionsC.Inc()
-	}
-	if rt.obs.Tracing() {
-		rt.obs.Emit(obs.Event{Type: obs.EvDegradation, Phase: phase, Line: line,
-			Addr: rt.mapping.LineBase(line), Count: uint64(n)})
 	}
 }
 
@@ -528,11 +518,6 @@ func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
 		for _, pair := range predict.FindPairsFused(track, adjTrack, rt.geom, rt.cfg.fuseFactors()) {
 			pairs++
 			rt.hotPairsC.Inc()
-			if rt.obs.Tracing() {
-				rt.obs.Emit(obs.Event{Type: obs.EvHotPair, Line: line,
-					Start: pair.Span.Start, End: pair.Span.End,
-					Count: pair.Estimate, Kind: pair.Kind.String()})
-			}
 			if rt.vreg.Add(pair) != nil {
 				registered = true
 			}
@@ -629,28 +614,25 @@ func (rt *Runtime) Report() *report.Report {
 	rsp.SetAttr("findings", uint64(len(rep.Findings)))
 	rsp.End()
 	rt.reportH.Observe(rsp.Duration().Seconds())
-	if rt.obs.Tracing() {
-		rt.obs.Emit(obs.Event{Type: obs.EvReport, Count: uint64(len(rep.Findings))})
-	}
 	return rep
 }
 
 // Provisional builds the same ranked report as Report but without side
-// effects: no objects are quarantined, no verification or report events are
-// emitted, and no report-time histograms are observed. It is safe to call
-// repeatedly during a live run — the diagnostics server serves it from
-// /findings — and leaves the eventual final Report unchanged.
+// effects: no objects are quarantined, no report span is recorded, and no
+// report-time histograms are observed. It is safe to call repeatedly during
+// a live run — the diagnostics server serves it from /findings — and leaves
+// the eventual final Report unchanged.
 func (rt *Runtime) Provisional() *report.Report {
 	return rt.collectReport(false, nil)
 }
 
 // collectReport walks the tracked and virtual lines and distills findings.
-// final gates the mutating and emitting behaviour reserved for the one
-// end-of-run Report: quarantining falsely-shared objects, verification
-// events, and the line-invalidation histogram. sp, when non-nil, is the
-// enclosing report span: verification outcomes are counted on it, and every
-// finding's provenance is stamped with its span ID so a -json finding links
-// back to its span in the -spans-out trace.
+// final gates the mutating behaviour reserved for the one end-of-run
+// Report: quarantining falsely-shared objects and the line-invalidation
+// histogram. sp, when non-nil, is the enclosing report span: verification
+// outcomes are counted on it, and every finding's provenance is stamped
+// with its span ID so a -json finding links back to its span in the
+// -spans-out trace.
 func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 	rt.flushMetrics()
 	rep := &report.Report{Geometry: rt.geom}
@@ -686,16 +668,6 @@ func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 			sp.AddAttr("verified", 1)
 		} else {
 			sp.AddAttr("rejected", 1)
-		}
-		if final && rt.obs.Tracing() {
-			phase := "rejected"
-			if v.Invalidations() >= rt.cfg.ReportThreshold {
-				phase = "verified"
-			}
-			span := v.Span()
-			rt.obs.Emit(obs.Event{Type: obs.EvVerification, Phase: phase,
-				Start: span.Start, End: span.End, Count: v.Invalidations(),
-				Kind: v.Pair.Kind.String(), Virtual: true})
 		}
 		if v.Invalidations() < rt.cfg.ReportThreshold {
 			continue

@@ -258,9 +258,7 @@ func TestFreeResetsMetadata(t *testing.T) {
 // tracedObserver is an observer with a span tracer, the kind that carries
 // the phase-latency histograms.
 func tracedObserver() *obs.Observer {
-	o := obs.New(obs.NewRegistry(), nil)
-	o.SetSpans(spans.New(spans.Config{}))
-	return o
+	return obs.New(obs.NewRegistry(), spans.New(spans.Config{}))
 }
 
 // A freed line keeps its hot-pair search claim: written past

@@ -184,7 +184,6 @@ type Track struct {
 	// The recorded-access counter is batched: the hot path syncs the
 	// registry every obs.SyncBatch-th recorded access and FlushMetrics
 	// pushes the exact total at snapshot points.
-	o         *obs.Observer
 	recordedC *obs.Counter
 	windowsC  *obs.Counter
 	pushedRec atomic.Uint64
@@ -217,9 +216,8 @@ func NewTrack(lineBase uint64, geom cacheline.Geometry, sampler Sampler) *Track 
 }
 
 // NewTrackObserved is NewTrack with an observability layer attached: the
-// track counts recorded accesses and sampling-window opens in the observer's
-// registry and emits sampling-window transition events (§2.4.3). A nil
-// observer yields an unobserved track.
+// track counts recorded accesses and sampling-window opens (§2.4.3) in the
+// observer's registry. A nil observer yields an unobserved track.
 func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler, o *obs.Observer) *Track {
 	t := &Track{
 		lineBase: lineBase,
@@ -230,7 +228,6 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 	initWords(words)
 	t.words.Store(&words)
 	if o != nil {
-		t.o = o
 		reg := o.Metrics()
 		t.recordedC = reg.Counter("predator_sampled_accesses_total",
 			"Accesses recorded in detail on tracked lines (post-sampling).")
@@ -251,11 +248,11 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 	n := t.accesses.Add(1)
 	if t.sampler.Window > 0 {
 		// One phase computation serves both the sampling decision and the
-		// window-transition events, keeping the observed path free of a
-		// second remainder per access.
+		// window-open count, keeping the observed path free of a second
+		// remainder per access.
 		phase := t.sampler.phase(n)
-		if t.o != nil && (phase == 0 || phase == t.sampler.Burst) {
-			t.noteWindowPhase(phase, n)
+		if phase == 0 {
+			t.windowsC.Inc()
 		}
 		if phase >= t.sampler.Burst {
 			return false
@@ -478,23 +475,6 @@ func (t *Track) FlightRecords() (records []flight.Record, salvaged bool) {
 
 // FlightArmed reports whether the track currently holds a live recorder.
 func (t *Track) FlightArmed() bool { return t.rec.Load() != nil }
-
-// noteWindowPhase surfaces sampling-window transitions: the n-th access
-// opens a window when it starts a new sampling interval (phase 0), and
-// closes the recording burst when it is the first unrecorded access of its
-// interval (phase == Burst). Callers only invoke it at those two phases.
-func (t *Track) noteWindowPhase(phase, n uint64) {
-	if phase == 0 {
-		t.windowsC.Inc()
-		if t.o.Tracing() {
-			t.o.Emit(obs.Event{Type: obs.EvSampleWindow, Addr: t.lineBase, Phase: "open", Count: n})
-		}
-		return
-	}
-	if t.o.Tracing() {
-		t.o.Emit(obs.Event{Type: obs.EvSampleWindow, Addr: t.lineBase, Phase: "close", Count: n})
-	}
-}
 
 // WindowPhase reports where the line currently sits in its sampling window
 // (§2.4.3): pos is the 0-based position the line's next access would take

@@ -35,8 +35,8 @@ type Config struct {
 	Scale   int
 	Repeats int         // timing repetitions (paper: 10); default 3
 	Runtime core.Config // detection thresholds
-	// Observer, when non-nil, aggregates metrics and lifecycle events
-	// across every run the evaluation performs.
+	// Observer, when non-nil, aggregates metrics (and, when it carries a
+	// tracer, spans) across every run the evaluation performs.
 	Observer *obs.Observer
 	// OnRuntime, when non-nil, receives each detection runtime the
 	// evaluation constructs, right before its workload runs, and nil before

@@ -129,7 +129,6 @@ type Instrumenter struct {
 	// Observability (nil when unobserved; set via Observe before threads
 	// run). Counters are batched: notify syncs the registry every
 	// obs.SyncBatch-th event and FlushMetrics pushes exact totals.
-	obs              *obs.Observer
 	deliveredC       *obs.Counter
 	suppressedC      *obs.Counter
 	faultsC          *obs.Counter
@@ -153,14 +152,13 @@ func New(h *mem.Heap, sink Sink, policy Policy) *Instrumenter {
 // Heap returns the bound heap.
 func (in *Instrumenter) Heap() *mem.Heap { return in.heap }
 
-// Observe attaches an observability layer: delivered/suppressed event
-// counters and — when the observer traces — a thread-creation event per
-// NewThread. Call before minting threads; a nil observer is a no-op.
+// Observe attaches an observability layer: the delivered, suppressed,
+// elided and heap-fault counters. Call before minting threads; a nil
+// observer is a no-op.
 func (in *Instrumenter) Observe(o *obs.Observer) {
 	if o == nil {
 		return
 	}
-	in.obs = o
 	reg := o.Metrics()
 	in.deliveredC = reg.Counter("predator_events_delivered_total",
 		"Instrumentation events delivered to the runtime sink.")
@@ -267,9 +265,6 @@ func (in *Instrumenter) NewThread(name string) *Thread {
 	t := &Thread{in: in, id: id, name: name}
 	in.threads = append(in.threads, t)
 	in.tmu.Unlock()
-	if in.obs.Tracing() {
-		in.obs.Emit(obs.Event{Type: obs.EvThread, TID: id, Name: name})
-	}
 	return t
 }
 
@@ -410,9 +405,6 @@ func (t *Thread) fault(addr, size uint64) {
 	t.lastFault = err
 	t.in.faults.Add(1)
 	t.in.faultsC.Inc()
-	if t.in.obs.Tracing() {
-		t.in.obs.Emit(obs.Event{Type: obs.EvFault, TID: t.id, Addr: addr, Size: size})
-	}
 }
 
 // Faults returns how many out-of-heap accesses this thread has absorbed.

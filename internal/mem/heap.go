@@ -545,9 +545,8 @@ func (h *Heap) ObjectsOverlapping(start, end uint64) []Object {
 }
 
 // Observe wires the allocator into an observability layer: allocation and
-// free counters, a live-bytes gauge, and — when the observer traces events —
-// alloc/free lifecycle events. Call before the heap is used; hooks persist
-// for the heap's lifetime. A nil observer is a no-op.
+// free counters and a live-bytes gauge. Call before the heap is used; hooks
+// persist for the heap's lifetime. A nil observer is a no-op.
 func (h *Heap) Observe(o *obs.Observer) {
 	if o == nil {
 		return
@@ -562,17 +561,10 @@ func (h *Heap) Observe(o *obs.Observer) {
 	h.AddAllocHook(func(obj Object) {
 		allocs.Inc()
 		live.Add(int64(obj.Size))
-		if o.Tracing() {
-			o.Emit(obs.Event{Type: obs.EvAlloc, TID: obj.Thread, Addr: obj.Start,
-				Size: obj.Size, Name: obj.Label, Global: obj.Global})
-		}
 	})
 	h.AddFreeHook(func(start, size uint64) {
 		frees.Inc()
 		live.Add(-int64(size))
-		if o.Tracing() {
-			o.Emit(obs.Event{Type: obs.EvFree, Addr: start, Size: size})
-		}
 	})
 }
 

@@ -1,12 +1,11 @@
 // Package agent is the export session the predator, predbench and predreplay
 // CLIs share. It registers the exporter flags next to the diag flag group,
-// builds the observer (with its guarded JSON-lines event sink) and the
-// tracer (with its cli.run root span), starts the diagnostics server,
-// heartbeat and interrupt flush, and at the end of the run writes every
-// export file. An interrupt, an error exit and a clean finish all end in the
-// same flush of the metrics and event files. Its status lines go to stderr,
-// so that stdout carries only the CLI's own output (predator -json stays
-// pure JSON).
+// builds the observer and the tracer (with its cli.run root span), starts
+// the diagnostics server, heartbeat and interrupt flush, and at the end of
+// the run writes every export file. An interrupt, an error exit and a clean
+// finish all end in the same flush of the metrics file. Its status lines go
+// to stderr, so that stdout carries only the CLI's own output (predator
+// -json stays pure JSON).
 package agent
 
 import (
@@ -25,14 +24,12 @@ import (
 	"predator/internal/obs/diag"
 	"predator/internal/obs/spans"
 	"predator/internal/obs/traceout"
-	"predator/internal/resilience"
 )
 
-// Flags is the exporter flag group: the four export files plus the -diag-*
+// Flags is the exporter flag group: the three export files plus the -diag-*
 // group.
 type Flags struct {
 	MetricsOut  *string
-	EventsOut   *string
 	TimelineOut *string
 	SpansOut    *string
 	Diag        *diag.Flags
@@ -43,7 +40,6 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		MetricsOut:  fs.String("metrics-out", "", "write runtime metrics (aggregated across every run) in Prometheus text format to this file"),
-		EventsOut:   fs.String("events-out", "", "stream lifecycle trace events from every run as JSON lines to this file"),
 		TimelineOut: fs.String("timeline-out", "", "write the last run's flight-recorder timeline as Perfetto/Chrome trace-event JSON to this file"),
 		SpansOut:    fs.String("spans-out", "", "write the pipeline span trace as OTLP/JSON to this file"),
 		Diag:        diag.RegisterFlags(fs),
@@ -73,8 +69,6 @@ type Session struct {
 	f       *Flags
 	tool    string
 	tracer  *spans.Tracer
-	events  *obs.JSONLines
-	evFile  *os.File
 	diagSrv *diag.Server
 	hb      *obs.Heartbeat
 	stopInt func()
@@ -85,23 +79,11 @@ type Session struct {
 // Start builds the session the parsed flags ask for.
 func (f *Flags) Start(cfg Config) (*Session, error) {
 	s := &Session{f: f, tool: cfg.Tool}
-	if *f.MetricsOut != "" || *f.EventsOut != "" || *f.SpansOut != "" || f.Diag.Enabled() {
-		var sink obs.Sink
-		if *f.EventsOut != "" {
-			file, err := os.Create(*f.EventsOut)
-			if err != nil {
-				return nil, err
-			}
-			s.evFile, s.events = file, obs.NewJSONLines(file)
-			// Quarantine the sink rather than let an export failure kill
-			// the run (see internal/resilience).
-			sink = resilience.GuardSink("events-jsonl", s.events, 0, nil)
-		}
-		s.Observer = obs.New(obs.NewRegistry(), sink)
+	if *f.MetricsOut != "" || *f.SpansOut != "" || f.Diag.Enabled() {
 		// The tracer rides on the observer: its spans time the phase
 		// histograms, and the root span parents every phase of the run.
 		s.tracer = spans.New(spans.Config{Deterministic: cfg.Deterministic})
-		s.Observer.SetSpans(s.tracer)
+		s.Observer = obs.New(obs.NewRegistry(), s.tracer)
 		s.Span = s.tracer.Start("cli.run", nil)
 		s.Span.SetLabel("tool", cfg.Tool)
 		for k, v := range cfg.Labels {
@@ -126,7 +108,7 @@ func (f *Flags) Start(cfg Config) (*Session, error) {
 	if *f.TimelineOut != "" || s.diagSrv != nil {
 		s.OnRuntime = s.setRuntime
 	}
-	s.hb = obs.StartHeartbeat(s.Observer, cfg.Heartbeat, *f.MetricsOut)
+	s.hb = obs.StartHeartbeat(s.Observer.Metrics(), cfg.Heartbeat, *f.MetricsOut)
 	// An interrupted run exits 130 or 143 whatever the flush returns.
 	s.stopInt = obs.FlushOnInterrupt(func() { _ = s.flush() }, nil)
 	return s, nil
@@ -143,16 +125,23 @@ func (s *Session) setRuntime(rt *core.Runtime) {
 
 // Finish ends a run that succeeded: it ends the root span, writes
 // -spans-out and -timeline-out (tracks named by threads), and flushes the
-// metrics and event files. Every export is attempted; the failed ones come
-// back joined.
+// metrics file. Every export is attempted; the failed ones come back
+// joined.
 func (s *Session) Finish(threads map[int]string) error {
 	s.Span.End()
 	var errs []error
 	if path := *s.f.SpansOut; path != "" {
-		if err := spans.WriteOTLPFile(path, s.tool, s.tracer.Snapshot()); err != nil {
+		snap := s.tracer.Snapshot()
+		if err := spans.WriteOTLPFile(path, s.tool, snap); err != nil {
 			errs = append(errs, fmt.Errorf("writing %s: %w", path, err))
 		} else {
-			fmt.Fprintf(os.Stderr, "spans: %s (OTLP/JSON, trace %s)\n", path, s.tracer.TraceID())
+			// A full buffer keeps the newest spans: say so, or the file
+			// reads like a complete trace of the run.
+			var dropped string
+			if n := s.tracer.Dropped(); n > 0 {
+				dropped = fmt.Sprintf("; kept the newest %d spans, dropped %d older", len(snap), n)
+			}
+			fmt.Fprintf(os.Stderr, "spans: %s (OTLP/JSON, trace %s%s)\n", path, s.tracer.TraceID(), dropped)
 		}
 	}
 	if path := *s.f.TimelineOut; path != "" {
@@ -168,7 +157,7 @@ func (s *Session) Finish(threads map[int]string) error {
 }
 
 // Fail reports err and exits 1 through the flush an interrupt runs, so an
-// error exit still leaves complete metrics and event files.
+// error exit still leaves a complete metrics file.
 func (s *Session) Fail(err error) {
 	err = errors.Join(err, s.flush())
 	for _, line := range strings.Split(err.Error(), "\n") {
@@ -185,24 +174,17 @@ func (s *Session) Close() {
 	})
 }
 
-// flush stops the heartbeat, writes the final metrics snapshot, and drains
-// and closes the event file. Finish, Fail and the interrupt handler all end
-// here; only the first call does the work and returns its error.
+// flush stops the heartbeat and writes the final metrics snapshot. Finish,
+// Fail and the interrupt handler all end here; only the first call does the
+// work and returns its error.
 func (s *Session) flush() (err error) {
 	s.flushed.Do(func() {
 		s.hb.Stop()
-		var errs []error
 		if path := *s.f.MetricsOut; path != "" {
 			if werr := s.Observer.Metrics().WriteSnapshotFile(path); werr != nil {
-				errs = append(errs, fmt.Errorf("writing %s: %w", path, werr))
+				err = fmt.Errorf("writing %s: %w", path, werr)
 			}
 		}
-		if s.events != nil {
-			if werr := errors.Join(s.events.Flush(), s.evFile.Close()); werr != nil {
-				errs = append(errs, fmt.Errorf("writing %s: %w", *s.f.EventsOut, werr))
-			}
-		}
-		err = errors.Join(errs...)
 	})
 	return err
 }

@@ -1,8 +1,9 @@
 package agent
 
 import (
-	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 	"time"
 
 	"predator/internal/eval"
-	"predator/internal/obs"
+	"predator/internal/obs/spans"
 	_ "predator/internal/workloads/phoenix"
 )
 
@@ -32,20 +33,20 @@ func startSession(t *testing.T, cfg Config, args ...string) *Session {
 }
 
 // TestFinishAttemptsEveryExport: a timeline with no runtime to dump fails
-// Finish, yet the span, metrics and event files are still written.
+// Finish, yet the span and metrics files are still written.
 func TestFinishAttemptsEveryExport(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	s := startSession(t, Config{Tool: "agenttest", Deterministic: true},
-		"-metrics-out", path("metrics.prom"), "-events-out", path("events.jsonl"),
+		"-metrics-out", path("metrics.prom"),
 		"-spans-out", path("spans.json"), "-timeline-out", path("timeline.json"))
-	s.Observer.Emit(obs.Event{Type: obs.EvAlloc, Addr: 0x40, Size: 64})
+	s.Observer.Metrics().Counter("predator_allocs_total", "").Inc()
 
 	err := s.Finish(nil)
 	if err == nil || !strings.Contains(err.Error(), "-timeline-out") {
 		t.Fatalf("Finish = %v, want the -timeline-out failure", err)
 	}
-	for _, name := range []string{"metrics.prom", "events.jsonl", "spans.json"} {
+	for _, name := range []string{"metrics.prom", "spans.json"} {
 		if fi, err := os.Stat(path(name)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s not written (%v)", name, err)
 		}
@@ -57,17 +58,17 @@ func TestFinishAttemptsEveryExport(t *testing.T) {
 
 // TestConcurrentFlushes: an error exit racing an interrupt calls flush from
 // two goroutines while the heartbeat runs. One call does the work: the
-// heartbeat stops once, with its final beat as the last whole line of the
-// event file.
+// heartbeat stops once, and the metrics file holds the final snapshot, which
+// a later flush does not rewrite.
 func TestConcurrentFlushes(t *testing.T) {
-	dir := t.TempDir()
-	events := filepath.Join(dir, "events.jsonl")
+	metrics := filepath.Join(t.TempDir(), "metrics.prom")
 	s := startSession(t, Config{Tool: "agenttest", Heartbeat: time.Millisecond},
-		"-metrics-out", filepath.Join(dir, "metrics.prom"), "-events-out", events)
+		"-metrics-out", metrics)
 	defer s.stopInt()
 	const allocs = 1000
-	for i := uint64(1); i <= allocs; i++ {
-		s.Observer.Emit(obs.Event{Type: obs.EvAlloc, Addr: i * 64, Size: 64})
+	allocsC := s.Observer.Metrics().Counter("predator_allocs_total", "")
+	for i := 0; i < allocs; i++ {
+		allocsC.Inc()
 	}
 
 	var wg sync.WaitGroup
@@ -81,29 +82,17 @@ func TestConcurrentFlushes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	allocsC.Inc() // after the flush: must not reach the file
+	if err := s.flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	raw, err := os.ReadFile(events)
+	raw, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	types := map[string]int{}
-	var last string
-	for i, line := range lines {
-		var ev struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("line %d: %v: %q", i+1, err, line)
-		}
-		types[ev.Type]++
-		last = ev.Type
-	}
-	if types["alloc"] != allocs || last != "heartbeat" {
-		t.Errorf("events = %v ending in %q, want %d allocs ending in the final heartbeat", types, last, allocs)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "metrics.prom")); err != nil {
-		t.Errorf("no metrics snapshot: %v", err)
+	if want := fmt.Sprintf("predator_allocs_total %d\n", allocs); !strings.Contains(string(raw), want) {
+		t.Errorf("metrics snapshot lacks %q:\n%s", want, raw)
 	}
 }
 
@@ -117,7 +106,7 @@ func TestNoRuntimeKeptWithoutReader(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	for _, args := range [][]string{
-		{"-metrics-out", path("metrics.prom"), "-events-out", path("events.jsonl"), "-spans-out", path("spans.json")},
+		{"-metrics-out", path("metrics.prom"), "-spans-out", path("spans.json")},
 		{"-timeline-out", path("timeline.json")},
 	} {
 		s := startSession(t, Config{Tool: "agenttest"}, args...)
@@ -141,4 +130,56 @@ func TestNoRuntimeKeptWithoutReader(t *testing.T) {
 	if fi, err := os.Stat(path("timeline.json")); err != nil || fi.Size() == 0 {
 		t.Errorf("-timeline-out session wrote no timeline at Finish (%v)", err)
 	}
+}
+
+// TestSpansLineReportsDropped: once a run finishes more spans than the
+// tracer's buffer holds, the spans status line says how many it dropped, so
+// a truncated -spans-out file does not read like a complete trace. A run
+// that fits says nothing about dropping.
+func TestSpansLineReportsDropped(t *testing.T) {
+	dir := t.TempDir()
+	// The cli.run root ends at Finish too: one span more than the children.
+	over := fmt.Sprintf("; kept the newest %d spans, dropped 11 older)", spans.DefaultCapacity)
+	for _, tc := range []struct {
+		children int
+		dropped  string // the line's tail when spans were dropped, "" when none were
+	}{{spans.DefaultCapacity + 10, over}, {10, ""}} {
+		out := filepath.Join(dir, fmt.Sprintf("spans%d.json", tc.children))
+		s := startSession(t, Config{Tool: "agenttest", Deterministic: true}, "-spans-out", out)
+		for i := 0; i < tc.children; i++ {
+			s.Span.Child("predict.search").End()
+		}
+		line := captureStderr(t, func() {
+			if err := s.Finish(nil); err != nil {
+				t.Error(err)
+			}
+		})
+		line = strings.TrimSuffix(line, "\n")
+		want := fmt.Sprintf("spans: %s (OTLP/JSON, trace %s%s", out, s.tracer.TraceID(), tc.dropped)
+		if tc.dropped == "" {
+			want += ")"
+		}
+		if line != want {
+			t.Errorf("%d spans: status line\n%q, want\n%q", tc.children+1, line, want)
+		}
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+	fn()
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

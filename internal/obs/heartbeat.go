@@ -5,27 +5,26 @@ import (
 	"time"
 )
 
-// Heartbeat periodically emits EvHeartbeat events carrying a scalar metrics
-// snapshot and, when a path is configured, rewrites the Prometheus snapshot
-// file — the liveness signal for long eval runs scraped from outside.
+// Heartbeat periodically rewrites the Prometheus snapshot file — the
+// liveness signal for long eval runs scraped from outside.
 type Heartbeat struct {
-	o        *Observer
+	reg      *Registry
 	interval time.Duration
-	path     string // "" = no snapshot file
-	ticks    uint64
+	path     string
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-// StartHeartbeat begins a heartbeat loop. It returns nil (and does nothing)
-// when the observer is nil or the interval is not positive; Stop is safe on
+// StartHeartbeat begins a heartbeat loop that rewrites snapshotPath from
+// reg every interval. It returns nil (and starts nothing) when the registry
+// is nil, the interval is not positive or there is no path; Stop is safe on
 // the nil result, so call sites need no conditional.
-func StartHeartbeat(o *Observer, interval time.Duration, snapshotPath string) *Heartbeat {
-	if o == nil || interval <= 0 {
+func StartHeartbeat(reg *Registry, interval time.Duration, snapshotPath string) *Heartbeat {
+	if reg == nil || interval <= 0 || snapshotPath == "" {
 		return nil
 	}
-	hb := &Heartbeat{o: o, interval: interval, path: snapshotPath, stop: make(chan struct{})}
+	hb := &Heartbeat{reg: reg, interval: interval, path: snapshotPath, stop: make(chan struct{})}
 	hb.wg.Add(1)
 	go hb.loop()
 	return hb
@@ -46,22 +45,14 @@ func (hb *Heartbeat) loop() {
 	}
 }
 
-// beat emits one heartbeat event and refreshes the snapshot file.
+// beat refreshes the snapshot file. A failed write is left for the next
+// beat or the final flush, which reports its error.
 func (hb *Heartbeat) beat() {
-	hb.ticks++
-	hb.o.Emit(Event{
-		Type:    EvHeartbeat,
-		Count:   hb.ticks,
-		Metrics: hb.o.Metrics().Snapshot(),
-	})
-	if hb.path != "" {
-		_ = hb.o.Metrics().WriteSnapshotFile(hb.path)
-	}
+	_ = hb.reg.WriteSnapshotFile(hb.path)
 }
 
-// Stop ends the loop after one final beat, so short runs still produce at
-// least one heartbeat and the snapshot file reflects the end state. Safe on
-// a nil receiver.
+// Stop ends the loop after one final beat, so the snapshot file reflects
+// the end state even when the ticker never fired. Safe on a nil receiver.
 func (hb *Heartbeat) Stop() {
 	if hb == nil {
 		return

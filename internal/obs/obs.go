@@ -1,16 +1,17 @@
 // Package obs is PREDATOR's observability subsystem: a low-overhead metrics
-// registry (atomic counters, gauges, bucketed histograms), a typed lifecycle
-// event tracing API, and exporters (JSON-lines events, Prometheus text-format
-// snapshots, periodic heartbeats).
+// registry (atomic counters, gauges, bucketed histograms), the Observer that
+// carries it and the span tracer to the runtime, and exporters (Prometheus
+// text-format snapshots, periodic heartbeats that rewrite them).
 //
 // The design constraint is the paper's own (§2.4: "significant performance
 // overhead... avoided"): the uninstrumented fast path must pay nothing. Every
-// instrument method is nil-safe — calling Inc on a nil *Counter, Emit on a
+// instrument method is nil-safe — calling Inc on a nil *Counter, Metrics on a
 // nil *Observer, or Counter() on a nil *Registry is a no-op — so runtime
 // packages hold instrument pointers unconditionally and only populate them
-// when an Observer is attached. Hot paths additionally gate event
-// construction on Observer.Tracing() so no Event struct is built when nobody
-// listens.
+// when an Observer is attached. Each lifecycle fact a run reports (a
+// promotion, an invalidation, a hot pair, a verification) is recorded once:
+// as a counter here, as an attribute of the span that covers it, or on the
+// flight-recorder timeline.
 package obs
 
 import (
@@ -21,6 +22,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"predator/internal/obs/spans"
 )
 
 // Counter is a monotonically increasing metric.
@@ -342,4 +345,75 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
+}
+
+// Observer bundles the two observability layers handed to the runtime: a
+// metrics registry and a span tracer. Either may be nil. A nil *Observer is
+// the no-op default — every method is safe on it — so the runtime carries
+// one pointer and pays a single nil check on instrumented paths.
+type Observer struct {
+	reg   *Registry
+	self  *SelfProfiler // nil unless EnableSelfProfile was called
+	spans *spans.Tracer
+}
+
+// New builds an Observer over a registry and a span tracer (either or both
+// may be nil).
+func New(reg *Registry, tracer *spans.Tracer) *Observer {
+	return &Observer{reg: reg, spans: tracer}
+}
+
+// EnableSelfProfile attaches a runtime self-profiler to the observer:
+// sampled track-path latency, the raw-vs-instrumented overhead meter, and Go
+// runtime health gauges, all registered on the observer's registry. Call
+// before the observer is handed to a runtime (the runtime captures the
+// profiler at construction); calling again returns the existing profiler.
+// Nil-safe: a nil observer (or one without a registry) returns nil.
+func (o *Observer) EnableSelfProfile() *SelfProfiler {
+	if o == nil || o.reg == nil {
+		return nil
+	}
+	if o.self == nil {
+		o.self = NewSelfProfiler(o.reg)
+	}
+	return o.self
+}
+
+// Self returns the observer's self-profiler, or nil when self-profiling was
+// never enabled (the default). Nil-safe.
+func (o *Observer) Self() *SelfProfiler {
+	if o == nil {
+		return nil
+	}
+	return o.self
+}
+
+// SetSpans attaches a span tracer: pipeline phases instrumented for span
+// tracing (harness setup, workload execution, prediction searches, report
+// generation, replay) start spans on it. Call before the observer is handed
+// to a runtime. Nil-safe: a nil observer ignores the call, and a nil tracer
+// detaches.
+func (o *Observer) SetSpans(t *spans.Tracer) {
+	if o == nil {
+		return
+	}
+	o.spans = t
+}
+
+// Spans returns the attached span tracer, or nil when span tracing is off
+// (the default). All spans.Tracer methods absorb a nil receiver, so callers
+// chain o.Spans().Start(...) without guarding.
+func (o *Observer) Spans() *spans.Tracer {
+	if o == nil {
+		return nil
+	}
+	return o.spans
+}
+
+// Metrics returns the observer's registry (nil on a nil observer).
+func (o *Observer) Metrics() *Registry {
+	if o == nil {
+		return nil
+	}
+	return o.reg
 }

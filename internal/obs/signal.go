@@ -9,10 +9,8 @@ import (
 
 // FlushOnInterrupt installs a SIGINT/SIGTERM handler that runs flush exactly
 // once and then exits with the conventional 128+signal code (130 for SIGINT,
-// 143 for SIGTERM). It exists because an interrupted run used to leave the
-// JSONL event sink's buffered tail and the metrics file unwritten — the
-// flush callback is where CLIs drain those sinks so an interrupted run still
-// produces valid, salvageable output files.
+// 143 for SIGTERM). It exists so an interrupted run still leaves a complete
+// metrics file: the flush callback is where CLIs write their export files.
 //
 // exit defaults to os.Exit; tests inject a recorder. The returned stop
 // function uninstalls the handler (call it on the clean-shutdown path so a

@@ -48,69 +48,11 @@ func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 // String renders the span ID as 16 lowercase hex digits.
 func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 
-// ParseTraceID decodes a 32-hex-digit trace ID, rejecting the zero value.
-func ParseTraceID(s string) (TraceID, error) {
-	var id TraceID
-	if len(s) != 32 {
-		return id, fmt.Errorf("spans: trace id %q: want 32 hex digits", s)
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
-		return id, fmt.Errorf("spans: trace id %q: %v", s, err)
-	}
-	if id.IsZero() {
-		return id, fmt.Errorf("spans: trace id is all zero")
-	}
-	return id, nil
-}
-
-// ParseSpanID decodes a 16-hex-digit span ID, rejecting the zero value.
-func ParseSpanID(s string) (SpanID, error) {
-	var id SpanID
-	if len(s) != 16 {
-		return id, fmt.Errorf("spans: span id %q: want 16 hex digits", s)
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
-		return id, fmt.Errorf("spans: span id %q: %v", s, err)
-	}
-	if id.IsZero() {
-		return id, fmt.Errorf("spans: span id is all zero")
-	}
-	return id, nil
-}
-
-// TraceParent renders a W3C traceparent header value (version 00, sampled).
-func TraceParent(t TraceID, s SpanID) string {
-	return "00-" + t.String() + "-" + s.String() + "-01"
-}
-
-// ParseTraceParent decodes a version-00 traceparent header value.
-func ParseTraceParent(tp string) (TraceID, SpanID, error) {
-	var t TraceID
-	var s SpanID
-	parts := strings.Split(tp, "-")
-	if len(parts) != 4 {
-		return t, s, fmt.Errorf("spans: traceparent %q: want 4 dash-separated fields", tp)
-	}
-	if parts[0] != "00" {
-		return t, s, fmt.Errorf("spans: traceparent version %q unsupported", parts[0])
-	}
-	t, err := ParseTraceID(parts[1])
-	if err != nil {
-		return t, s, err
-	}
-	s, err = ParseSpanID(parts[2])
-	if err != nil {
-		return t, s, err
-	}
-	if len(parts[3]) != 2 {
-		return t, s, fmt.Errorf("spans: traceparent flags %q: want 2 hex digits", parts[3])
-	}
-	return t, s, nil
-}
-
-// DefaultCapacity is the span buffer's default size. A full pipeline run
-// finishes well under a hundred spans; the headroom absorbs prediction-heavy
-// workloads without ever growing.
+// DefaultCapacity is the span buffer's default size. Every hot-pair search
+// is a span, so one run can finish hundreds (a deterministic histogram run
+// finishes 778), and a multi-run experiment such as predbench's "all"
+// overflows the buffer: it keeps the newest spans and counts the rest in
+// Dropped, so memory stays bounded however long the process runs.
 const DefaultCapacity = 4096
 
 // Config parameterizes a Tracer.
@@ -307,14 +249,6 @@ func (s *Span) TraceID() TraceID {
 		return TraceID{}
 	}
 	return s.tr.traceID
-}
-
-// TraceParent renders the span's W3C traceparent value ("" on nil).
-func (s *Span) TraceParent() string {
-	if s == nil || s.tr == nil {
-		return ""
-	}
-	return TraceParent(s.tr.traceID, s.id)
 }
 
 // Child starts a sub-span (nil in → nil out).

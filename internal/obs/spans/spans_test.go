@@ -10,37 +10,6 @@ import (
 	"testing"
 )
 
-func TestTraceParentRoundTrip(t *testing.T) {
-	tr := New(Config{})
-	root := tr.Start("root", nil)
-	tp := root.TraceParent()
-	if !regexp.MustCompile(`^00-[0-9a-f]{32}-[0-9a-f]{16}-01$`).MatchString(tp) {
-		t.Fatalf("traceparent %q not W3C shaped", tp)
-	}
-	gotT, gotS, err := ParseTraceParent(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotT != tr.TraceID() || gotS != root.ID() {
-		t.Fatalf("round trip mismatch: %v/%v vs %v/%v", gotT, gotS, tr.TraceID(), root.ID())
-	}
-}
-
-func TestParseTraceParentRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"00-abc-def-01",
-		"01-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-01",
-		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("b", 16) + "-01",
-		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("0", 16) + "-01",
-		"00-" + strings.Repeat("z", 32) + "-" + strings.Repeat("b", 16) + "-01",
-	} {
-		if _, _, err := ParseTraceParent(bad); err == nil {
-			t.Errorf("ParseTraceParent(%q) accepted garbage", bad)
-		}
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	s := tr.Start("x", nil)
@@ -54,9 +23,6 @@ func TestNilSafety(t *testing.T) {
 	s.End()
 	if c := s.Child("y"); c != nil {
 		t.Fatal("nil span minted a child")
-	}
-	if got := s.TraceParent(); got != "" {
-		t.Fatalf("nil span traceparent = %q", got)
 	}
 	if d := s.Duration(); d != 0 {
 		t.Fatalf("nil span duration = %v", d)

@@ -316,7 +316,7 @@ type Registry struct {
 
 	// budget, when non-nil, bounds how many virtual lines may be
 	// registered (core.Config.MaxVirtualLines); rejections are counted in
-	// the budget and surfaced as degradation events.
+	// the budget and in predator_virtual_line_rejections_total.
 	budget *resilience.Budget
 
 	// Flight recording for verification tracks (set before concurrent use;
@@ -326,7 +326,6 @@ type Registry struct {
 	freport uint64 // report threshold captured into each VTrack
 
 	// Observability (nil when unobserved; set before concurrent use).
-	o             *obs.Observer
 	vlinesG       *obs.Gauge
 	vinvC         *obs.Counter
 	vrejectC      *obs.Counter
@@ -383,14 +382,13 @@ func (t *routeTable) with(v *VTrack, first, last uint64) *routeTable {
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
-// registered virtual lines, a verified-invalidation counter, and — when the
-// observer traces — virtual-line creation and invalidation events. Call
-// before the registry sees concurrent traffic; a nil observer is a no-op.
+// registered virtual lines, a verified-invalidation counter and a counter of
+// budget rejections. Call before the registry sees concurrent traffic; a nil
+// observer is a no-op.
 func (r *Registry) SetObserver(o *obs.Observer) {
 	if o == nil {
 		return
 	}
-	r.o = o
 	reg := o.Metrics()
 	r.vlinesG = reg.Gauge("predator_virtual_lines",
 		"Virtual cache lines registered for prediction verification.")
@@ -427,8 +425,8 @@ func (r *Registry) Rejected() uint64 {
 // Add registers a verification track for the pair unless an identical span
 // is already tracked or the virtual-line budget is exhausted. It returns the
 // registered track, or nil when the span was a duplicate or the registration
-// was refused (the refusal is counted and surfaced as a degradation event —
-// the §3 prediction detail this run gives up under resource pressure).
+// was refused (the refusal is counted, and sets the degraded-mode gauge — the
+// §3 prediction detail this run gives up under resource pressure).
 func (r *Registry) Add(pair HotPair) *VTrack {
 	r.mu.Lock()
 	if r.spans[pair.Span] {
@@ -439,11 +437,6 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 		r.mu.Unlock()
 		r.vrejectC.Inc()
 		r.degradedModeG.Set(1)
-		if r.o.Tracing() {
-			r.o.Emit(obs.Event{Type: obs.EvDegradation, Phase: "virtual_reject",
-				Start: pair.Span.Start, End: pair.Span.End, Kind: pair.Kind.String(),
-				Count: r.budget.Rejected(), Virtual: true})
-		}
 		return nil
 	}
 	r.spans[pair.Span] = true
@@ -458,10 +451,6 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 	r.table.Store(r.table.Load().with(v, first, last))
 	r.mu.Unlock()
 	r.vlinesG.Add(1)
-	if r.o.Tracing() {
-		r.o.Emit(obs.Event{Type: obs.EvVirtualLine, Start: pair.Span.Start, End: pair.Span.End,
-			Count: pair.Estimate, Kind: pair.Kind.String()})
-	}
 	return v
 }
 
@@ -484,12 +473,8 @@ func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 			inv++
 		}
 	}
-	if inv > 0 && r.o != nil {
+	if inv > 0 {
 		r.vinvC.Add(uint64(inv))
-		if r.o.Tracing() {
-			r.o.Emit(obs.Event{Type: obs.EvInvalidation, TID: tid, Addr: addr,
-				Count: uint64(inv), Virtual: true})
-		}
 	}
 	return inv
 }

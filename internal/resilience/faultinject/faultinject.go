@@ -1,21 +1,15 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // resilience layer's chaos tests. Every fault source is derived from a
 // seeded math/rand stream, so a failing chaos run reproduces exactly from
-// its seed: corrupt trace bytes land on the same offsets, failing sinks
-// panic on the same events, slow observers stall for the same durations.
+// its seed: corrupt trace bytes land on the same offsets and truncation cuts
+// at the same length.
 //
 // The injector never touches its input in place — corruption returns a
 // copy plus an account of every fault injected, which the chaos suite
 // cross-checks against the salvage statistics the trace reader reports.
 package faultinject
 
-import (
-	"math/rand"
-	"sync/atomic"
-	"time"
-
-	"predator/internal/obs"
-)
+import "math/rand"
 
 // Corruption records one injected trace fault.
 type Corruption struct {
@@ -113,69 +107,6 @@ func (in *Injector) Truncate(data []byte, minKeep int) ([]byte, int) {
 	cut := minKeep + in.rnd.Intn(len(data)-minKeep)
 	return append([]byte(nil), data[:cut]...), cut
 }
-
-// FailingSink is an obs.Sink that panics deterministically: every
-// panicEvery-th Emit panics. It is safe for concurrent use; the panic
-// schedule is driven by a single atomic counter, so exactly one in every
-// panicEvery deliveries panics regardless of interleaving.
-type FailingSink struct {
-	panicEvery uint64
-	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_         [56]byte
-	calls     atomic.Uint64
-	_         [56]byte
-	delivered atomic.Uint64
-	_         [56]byte
-	panics    atomic.Uint64
-}
-
-// NewFailingSink builds a sink that panics on every n-th Emit (n >= 1; n == 1
-// panics on every delivery).
-func NewFailingSink(n int) *FailingSink {
-	if n < 1 {
-		n = 1
-	}
-	return &FailingSink{panicEvery: uint64(n)}
-}
-
-// Emit panics on schedule and otherwise counts the delivery.
-func (f *FailingSink) Emit(e obs.Event) {
-	if f.calls.Add(1)%f.panicEvery == 0 {
-		f.panics.Add(1)
-		panic("faultinject: injected sink panic")
-	}
-	f.delivered.Add(1)
-}
-
-// Delivered returns how many events were accepted without panicking.
-func (f *FailingSink) Delivered() uint64 { return f.delivered.Load() }
-
-// Panics returns how many times the sink has panicked.
-func (f *FailingSink) Panics() uint64 { return f.panics.Load() }
-
-// SlowSink is an obs.Sink that stalls for a fixed duration per event before
-// forwarding to an optional inner sink — a deterministic model of a slow
-// observer (e.g. an exporter blocked on I/O).
-type SlowSink struct {
-	Delay time.Duration
-	Inner obs.Sink // may be nil: stall and drop
-
-	emitted atomic.Uint64
-}
-
-// Emit sleeps, then forwards.
-func (s *SlowSink) Emit(e obs.Event) {
-	if s.Delay > 0 {
-		time.Sleep(s.Delay)
-	}
-	s.emitted.Add(1)
-	if s.Inner != nil {
-		s.Inner.Emit(e)
-	}
-}
-
-// Emitted returns how many events passed through.
-func (s *SlowSink) Emitted() uint64 { return s.emitted.Load() }
 
 // TinyHeapBytes is a heap size small enough that ordinary chaos workloads
 // exhaust it, exercising alloc-failure paths (mem.ErrOutOfMemory) without

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"predator/internal/obs"
 )
 
 func sampleData() []byte {
@@ -102,39 +100,5 @@ func TestTruncateBounds(t *testing.T) {
 	whole, at := New(0).Truncate(data, len(data)+5)
 	if at != len(data) || !bytes.Equal(whole, data) {
 		t.Errorf("minKeep past end: at=%d", at)
-	}
-}
-
-func TestFailingSinkSchedule(t *testing.T) {
-	s := NewFailingSink(3)
-	panics := 0
-	for i := 1; i <= 9; i++ {
-		func() {
-			defer func() {
-				if recover() != nil {
-					panics++
-					if i%3 != 0 {
-						t.Errorf("panicked on call %d, want only multiples of 3", i)
-					}
-				}
-			}()
-			s.Emit(obs.Event{})
-		}()
-	}
-	if panics != 3 || s.Panics() != 3 {
-		t.Errorf("panics = %d / %d, want 3", panics, s.Panics())
-	}
-	if s.Delivered() != 6 {
-		t.Errorf("Delivered = %d, want 6", s.Delivered())
-	}
-}
-
-func TestSlowSinkForwards(t *testing.T) {
-	inner := NewFailingSink(1 << 30) // never panics in this test
-	s := &SlowSink{Inner: inner}
-	s.Emit(obs.Event{})
-	s.Emit(obs.Event{})
-	if s.Emitted() != 2 || inner.Delivered() != 2 {
-		t.Errorf("Emitted=%d inner=%d", s.Emitted(), inner.Delivered())
 	}
 }

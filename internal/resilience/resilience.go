@@ -1,19 +1,15 @@
 // Package resilience is PREDATOR's fault-containment layer. A detector that
 // is meant to stay attached to long-running workloads (the paper spends §2.4
 // bounding runtime cost precisely so detection can stay on) must shed
-// precision under pressure instead of crashing: a panicking observer sink, a
-// misbehaving heap hook, or an adversarial workload that promotes millions of
-// lines to detailed tracking are operational hazards, not reasons to lose the
-// run. This package provides the three primitives the rest of the stack wires
-// in:
+// precision under pressure instead of crashing: a misbehaving heap hook, a
+// panicking diagnostics route, or an adversarial workload that promotes
+// millions of lines to detailed tracking are operational hazards, not
+// reasons to lose the run. This package provides the two primitives the
+// rest of the stack wires in:
 //
 //   - Guard: a recover boundary with a panic budget. A component that panics
 //     more than its limit is quarantined — subsequent invocations are skipped
 //     — while the caller keeps running.
-//   - SinkGuard: a Guard specialized for obs.Sink implementations. A sink
-//     that keeps panicking is quarantined with one final
-//     obs.EvSinkQuarantined event (best-effort, delivered to the sink itself
-//     so an event log ends with the reason it went quiet).
 //   - Budget: a bounded-resource admission counter used by the core
 //     runtime's tracked-line governor and the prediction registry's
 //     virtual-line cap, so per-line metadata cannot grow without bound.
@@ -25,8 +21,6 @@ package resilience
 import (
 	"fmt"
 	"sync/atomic"
-
-	"predator/internal/obs"
 )
 
 // DefaultPanicLimit is the number of panics after which a guarded component
@@ -99,64 +93,6 @@ func (g *Guard) Panics() uint64 { return g.panics.Load() }
 
 // Quarantined reports whether the component has been quarantined.
 func (g *Guard) Quarantined() bool { return g.quarantined.Load() }
-
-// SinkGuard wraps an obs.Sink behind a recover boundary so a panicking
-// observer cannot take down the detection run. After the panic limit is
-// reached the sink is quarantined: one final obs.EvSinkQuarantined event is
-// delivered to it (best-effort — the sink may panic on that too) and every
-// later event is dropped. Detection continues either way.
-type SinkGuard struct {
-	inner obs.Sink
-	guard *Guard
-}
-
-// GuardSink wraps sink. limit <= 0 selects DefaultPanicLimit; onQuarantine,
-// when non-nil, runs once at quarantine time (after the final event was
-// offered to the sink). A nil sink yields a nil guard, which Emit tolerates.
-func GuardSink(name string, sink obs.Sink, limit int, onQuarantine func(name string, panics uint64)) *SinkGuard {
-	if sink == nil {
-		return nil
-	}
-	sg := &SinkGuard{inner: sink}
-	sg.guard = NewGuard(name, limit, func(n string, panics uint64) {
-		// Final event: the sink's own log ends with the reason it went
-		// quiet. Best-effort — delivered outside the guard with its own
-		// recover, since the sink is already known to panic.
-		func() {
-			defer func() { _ = recover() }()
-			sg.inner.Emit(obs.Event{Type: obs.EvSinkQuarantined, Name: n, Count: panics})
-		}()
-		if onQuarantine != nil {
-			onQuarantine(n, panics)
-		}
-	})
-	return sg
-}
-
-// Emit forwards the event to the wrapped sink behind the recover boundary.
-// Safe on a nil guard (no-op).
-func (s *SinkGuard) Emit(e obs.Event) {
-	if s == nil {
-		return
-	}
-	s.guard.Run(func() { s.inner.Emit(e) })
-}
-
-// Panics returns how many panics the wrapped sink has caused.
-func (s *SinkGuard) Panics() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.guard.Panics()
-}
-
-// Quarantined reports whether the wrapped sink has been quarantined.
-func (s *SinkGuard) Quarantined() bool {
-	if s == nil {
-		return false
-	}
-	return s.guard.Quarantined()
-}
 
 // Budget is an admission counter for a bounded resource: Acquire succeeds
 // until limit slots are held, Release returns a slot. A limit of 0 means

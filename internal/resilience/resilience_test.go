@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"predator/internal/obs"
 )
 
 func TestGuardAbsorbsPanicsUntilLimit(t *testing.T) {
@@ -72,59 +70,6 @@ func TestGuardQuarantineCallbackOnce(t *testing.T) {
 	g.Run(func() { panic("x") }) // skipped: already quarantined
 	if fires.Load() != 1 {
 		t.Errorf("onQuarantine fired %d times, want 1", fires.Load())
-	}
-}
-
-// flakySink panics on normal events but records the quarantine notice, so the
-// test can observe SinkGuard's final best-effort event.
-type flakySink struct {
-	mu     sync.Mutex
-	events []obs.Event
-}
-
-func (s *flakySink) Emit(e obs.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.Type != obs.EvSinkQuarantined {
-		panic("flaky sink")
-	}
-	s.events = append(s.events, e)
-}
-
-func TestSinkGuardFinalQuarantineEvent(t *testing.T) {
-	sink := &flakySink{}
-	var notified atomic.Uint64
-	sg := GuardSink("flaky", sink, 2, func(name string, panics uint64) { notified.Add(1) })
-	for i := 0; i < 5; i++ {
-		sg.Emit(obs.Event{Type: obs.EvInvalidation})
-	}
-	if !sg.Quarantined() {
-		t.Fatal("sink not quarantined")
-	}
-	if sg.Panics() != 2 {
-		t.Errorf("Panics = %d, want 2 (later emits must be skipped)", sg.Panics())
-	}
-	if notified.Load() != 1 {
-		t.Errorf("onQuarantine fired %d times, want 1", notified.Load())
-	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.events) != 1 || sink.events[0].Type != obs.EvSinkQuarantined {
-		t.Fatalf("final events = %+v, want one sink_quarantined", sink.events)
-	}
-	if sink.events[0].Name != "flaky" || sink.events[0].Count != 2 {
-		t.Errorf("quarantine event = %+v", sink.events[0])
-	}
-}
-
-func TestSinkGuardNil(t *testing.T) {
-	if sg := GuardSink("none", nil, 0, nil); sg != nil {
-		t.Fatal("GuardSink(nil) != nil")
-	}
-	var sg *SinkGuard
-	sg.Emit(obs.Event{Type: obs.EvInvalidation}) // must not panic
-	if sg.Panics() != 0 || sg.Quarantined() {
-		t.Error("nil SinkGuard reports activity")
 	}
 }
 
@@ -199,42 +144,37 @@ func TestChaosBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// panickySink panics on every delivery; used to verify quarantine engages
-// exactly once under concurrent emitters.
-type panickySink struct{ calls atomic.Uint64 }
-
-func (s *panickySink) Emit(obs.Event) {
-	s.calls.Add(1)
-	panic("always")
-}
-
-// TestChaosSinkQuarantineConcurrent drives a guarded always-panicking sink
-// from many goroutines: no panic may escape, quarantine must engage, and the
-// sink must stop being invoked afterwards (run under -race).
+// TestChaosSinkQuarantineConcurrent drives one guard around an
+// always-panicking component from many goroutines: no panic may escape,
+// quarantine must engage with exactly one notice, and the component must
+// stop being invoked afterwards (run under -race).
 func TestChaosSinkQuarantineConcurrent(t *testing.T) {
-	sink := &panickySink{}
-	var notices atomic.Uint64
-	sg := GuardSink("chaos", sink, DefaultPanicLimit, func(string, uint64) { notices.Add(1) })
+	const workers, perWorker = 8, 200
+	var calls, notices atomic.Uint64
+	g := NewGuard("chaos", DefaultPanicLimit, func(string, uint64) { notices.Add(1) })
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sg.Emit(obs.Event{Type: obs.EvInvalidation})
+			for i := 0; i < perWorker; i++ {
+				g.Run(func() {
+					calls.Add(1)
+					panic("always")
+				})
 			}
 		}()
 	}
 	wg.Wait()
-	if !sg.Quarantined() {
-		t.Fatal("sink not quarantined")
+	if !g.Quarantined() {
+		t.Fatal("component not quarantined")
 	}
 	if notices.Load() != 1 {
 		t.Errorf("quarantine notice fired %d times, want 1", notices.Load())
 	}
-	// Racing emitters may slip a few extra panics in before the flag lands,
-	// but quarantine must have stopped deliveries well before the end.
-	if calls := sink.calls.Load(); calls >= 8*200 {
-		t.Errorf("sink saw every emit (%d); quarantine never engaged", calls)
+	// Racing callers may slip a few extra panics in before the flag lands,
+	// but quarantine must have stopped the calls well before the end.
+	if n := calls.Load(); n >= workers*perWorker {
+		t.Errorf("component ran on every call (%d); quarantine never engaged", n)
 	}
 }

@@ -47,7 +47,7 @@ func hotStores(th *predator.Thread, addr uint64) time.Duration {
 }
 
 // TestNoSinkObserverOverhead is the observability subsystem's performance
-// contract: attaching an observer with a metrics registry but no event sink
+// contract: attaching an observer with a metrics registry and no span tracer
 // must cost less than 5% on the access hot path relative to the unobserved
 // default.
 func TestNoSinkObserverOverhead(t *testing.T) {
@@ -56,7 +56,7 @@ func TestNoSinkObserverOverhead(t *testing.T) {
 	}
 	assertOverhead(t, "no-sink observer",
 		func() time.Duration { return wholeLoop(t, nil, nil) },
-		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) })
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(), nil) })
 }
 
 // TestSelfProfileOverhead extends the contract to runtime self-profiling:
@@ -70,12 +70,12 @@ func TestSelfProfileOverhead(t *testing.T) {
 		t.Skip("timing test")
 	}
 	withSelf := func() *predator.Observer {
-		o := predator.NewObserver(nil)
+		o := predator.NewObserver()
 		o.EnableSelfProfile()
 		return o
 	}
 	assertOverhead(t, "self-profile",
-		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) },
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(), nil) },
 		func() time.Duration { return wholeLoop(t, withSelf(), nil) })
 }
 
@@ -164,6 +164,6 @@ func BenchmarkHotPathNilObserver(b *testing.B) {
 
 func BenchmarkHotPathMetricsObserver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(hotLoop(b, predator.NewObserver(nil)).Nanoseconds()), "ns/access")
+		b.ReportMetric(float64(hotLoop(b, predator.NewObserver()).Nanoseconds()), "ns/access")
 	}
 }

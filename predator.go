@@ -35,7 +35,6 @@ import (
 	"predator/internal/obs"
 	"predator/internal/obs/traceout"
 	"predator/internal/report"
-	"predator/internal/resilience"
 )
 
 // Re-exported types: the public API surface of the detector.
@@ -71,19 +70,11 @@ type (
 	StructLayout = layout.Struct
 	// LayoutField is one struct member description.
 	LayoutField = layout.Field
-	// Observer carries the metrics registry and event sink the detector
-	// reports into (see internal/obs).
+	// Observer carries the metrics registry, and optionally the span
+	// tracer, the detector reports into (see internal/obs).
 	Observer = obs.Observer
 	// Metrics is a registry of named counters, gauges, and histograms.
 	Metrics = obs.Registry
-	// Event is one lifecycle trace event.
-	Event = obs.Event
-	// EventSink receives lifecycle trace events. An Observer delivers its
-	// events one at a time, in Seq order, under a lock that every emitting
-	// worker waits on: a sink must not block (buffer, or hand slow I/O to
-	// its own goroutine) and must not emit back into the observer that
-	// feeds it, which would deadlock.
-	EventSink = obs.Sink
 	// Provenance explains how a finding was established: when the line was
 	// flagged, the recorded interleaving, and the verification chain.
 	Provenance = report.Provenance
@@ -93,30 +84,11 @@ type (
 // recording (and with it finding provenance and timeline export) off.
 const FlightDisabled = core.FlightDisabled
 
-// NewObserver builds an Observer over a fresh metrics registry. A nil sink
-// collects metrics without tracing events; see NewJSONLinesSink for a sink
-// that streams events as JSON lines. Delivery to the sink is serialized, so
-// it must not block or call back into the observer's Emit (see EventSink).
-// The observer carries no span tracer, so its registry has no
-// phase-latency histograms (predator_prediction_seconds,
-// predator_report_seconds): those observe span durations.
-func NewObserver(sink EventSink) *Observer { return obs.New(obs.NewRegistry(), sink) }
-
-// NewResilientObserver is NewObserver with the sink wrapped in a panic
-// isolation boundary (see internal/resilience): a sink that panics more than
-// resilience.DefaultPanicLimit times is quarantined — after one final
-// sink_quarantined event — while detection continues. Use it whenever the
-// sink is not fully trusted (plugins, network exporters). The guard catches
-// panics only: delivery is still serialized per observer, so a sink that
-// blocks stalls every worker's Emit, and one that emits back into this
-// observer deadlocks. Give a network exporter its own buffer and goroutine.
-func NewResilientObserver(name string, sink EventSink) *Observer {
-	return obs.New(obs.NewRegistry(), resilience.GuardSink(name, sink, 0, nil))
-}
-
-// NewJSONLinesSink returns a sink encoding each event as one JSON object per
-// line. Call Flush before closing the underlying writer.
-func NewJSONLinesSink(w io.Writer) *obs.JSONLines { return obs.NewJSONLines(w) }
+// NewObserver builds an Observer over a fresh metrics registry. The
+// observer carries no span tracer, so its registry has no phase-latency
+// histograms (predator_prediction_seconds, predator_report_seconds): those
+// observe span durations.
+func NewObserver() *Observer { return obs.New(obs.NewRegistry(), nil) }
 
 // NewLayout lays out struct fields under C alignment rules; pass the result
 // in SuggestOptions.Layouts keyed by object start address for field-level
@@ -172,9 +144,8 @@ type Options struct {
 	// Uninstrumented builds a Detector whose accessors touch memory but
 	// report nothing — the "Original" baseline for overhead measurement.
 	Uninstrumented bool
-	// Observer, when non-nil, receives the detector's metrics and — when
-	// it has an event sink — lifecycle trace events. Nil (the default)
-	// leaves the hot path uninstrumented.
+	// Observer, when non-nil, receives the detector's metrics. Nil (the
+	// default) leaves the hot path uninstrumented.
 	Observer *Observer
 	// Strict selects the out-of-heap access policy. Nil (the default) and
 	// &true panic on any out-of-heap access — workload bugs fail loudly.

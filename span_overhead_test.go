@@ -20,12 +20,12 @@ func TestSpanOverhead(t *testing.T) {
 		t.Skip("timing test")
 	}
 	withSpans := func() *predator.Observer {
-		o := predator.NewObserver(nil)
+		o := predator.NewObserver()
 		o.SetSpans(spans.New(spans.Config{}))
 		return o
 	}
 	assertOverhead(t, "span tracer",
-		func() time.Duration { return wholeLoop(t, predator.NewObserver(nil), nil) },
+		func() time.Duration { return wholeLoop(t, predator.NewObserver(), nil) },
 		func() time.Duration { return wholeLoop(t, withSpans(), nil) })
 }
 
@@ -40,7 +40,7 @@ func TestSpanTreeDeterministic(t *testing.T) {
 		t.Fatal("histogram workload not registered")
 	}
 	runOnce := func() (spans.TraceID, []spans.Data) {
-		o := predator.NewObserver(nil)
+		o := predator.NewObserver()
 		tr := spans.New(spans.Config{Deterministic: true})
 		o.SetSpans(tr)
 		root := tr.Start("cli.run", nil)
