@@ -145,7 +145,7 @@ func TestPredbenchUnknownExperiment(t *testing.T) {
 func TestPredreplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "ww.trace")
-	out, err := run(t, "predreplay", "-record", "ww_share", "-out", tracePath, "-threads", "4")
+	out, err := run(t, "predreplay", "-record", "ww_share", "-out", tracePath, "-threads", "4", "-deterministic")
 	if err != nil {
 		t.Fatalf("record: %v\n%s", err, out)
 	}

@@ -7,6 +7,10 @@
 //	predreplay -replay hist.trace
 //	predreplay -replay hist.trace -no-prediction -report-threshold 1000
 //
+// -deterministic records the workers on the deterministic scheduler, as
+// predator -deterministic runs them, so the recorded interleaving, and with
+// it the trace file, is the same on every run.
+//
 // Untrusted or damaged traces replay with -salvage: malformed and truncated
 // records are skipped and accounted instead of aborting, optionally bounded
 // by -salvage-budget corrupt regions (exceeding the budget still prints the
@@ -44,6 +48,7 @@ func main() {
 		threads    = flag.Int("threads", 8, "worker threads for -record")
 		scale      = flag.Int("scale", 1, "workload size multiplier for -record")
 		fixed      = flag.Bool("fixed", false, "record the fixed variant")
+		det        = flag.Bool("deterministic", false, "serialize workers round-robin for exactly reproducible counts")
 		noPredict  = flag.Bool("no-prediction", false, "replay: disable prediction")
 		salvage    = flag.Bool("salvage", false, "replay: skip malformed/truncated records instead of aborting")
 		salvageMax = flag.Uint64("salvage-budget", 0, "replay: max corrupt regions tolerated under -salvage (0 = unlimited); exceeding it exits nonzero after the partial report")
@@ -63,7 +68,9 @@ func main() {
 	case *record != "" && *replay != "":
 		fatal("use either -record or -replay, not both")
 	case *record != "":
-		if err := doRecord(*record, *out, *threads, *scale, !*fixed); err != nil {
+		if err := doRecord(*record, *out, harness.Options{
+			Threads: *threads, Scale: *scale, Buggy: !*fixed, Deterministic: *det,
+		}); err != nil {
 			fatal(err.Error())
 		}
 	case *replay != "":
@@ -92,8 +99,10 @@ func fatal(msg string) {
 }
 
 // doRecord executes the workload with the trace writer as the only sink,
-// mirroring allocations and globals via the heap's alloc hook.
-func doRecord(workload, out string, threads, scale int, buggy bool) error {
+// mirroring allocations and globals via the heap's alloc hook. Under
+// opts.Deterministic the workers run on the deterministic scheduler at the
+// harness's default grain, so two recordings are byte-identical.
+func doRecord(workload, out string, opts harness.Options) error {
 	w, ok := harness.Get(workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", workload)
@@ -122,9 +131,7 @@ func doRecord(workload, out string, threads, scale int, buggy bool) error {
 	}
 	trace.Mirror(h, tw)
 
-	res, err := harness.ExecuteSimOnHeap(w, harness.Options{
-		Threads: threads, Scale: scale, Buggy: buggy,
-	}, h, tw)
+	res, err := harness.ExecuteSimOnHeap(w, opts, h, tw)
 	if err != nil {
 		return err
 	}
@@ -132,7 +139,7 @@ func doRecord(workload, out string, threads, scale int, buggy bool) error {
 		return err
 	}
 	fmt.Printf("recorded %s (%s variant): %d events -> %s (checksum %#x)\n",
-		workload, variantName(buggy), tw.Events(), out, res.Checksum)
+		workload, variantName(opts.Buggy), tw.Events(), out, res.Checksum)
 	return nil
 }
 

@@ -114,7 +114,7 @@ type Sampler struct {
 }
 
 // NewSampler returns the sampling policy with its division-free phase
-// precomputed. NewTrack and predict.NewVTrack call it on the Sampler they
+// precomputed. NewTrack and predict.Registry.Add call it on the Sampler they
 // are given, so a struct-literal Sampler gets the fast path too.
 func NewSampler(window, burst uint64) Sampler {
 	s := Sampler{Window: window, Burst: burst}
@@ -617,4 +617,18 @@ func initWords(words []Word) {
 	for i := range words {
 		words[i].owner.Store(OwnerNone)
 	}
+}
+
+// SkipAfter returns how many accesses after the n-th (n ≥ 0) are certain
+// not to be recorded: the length of the unrecorded run that the (n+1)-th
+// access starts, or 0 when that access is recorded or sampling is off.
+func (s Sampler) SkipAfter(n uint64) uint64 {
+	if s.Window == 0 {
+		return 0
+	}
+	p := s.phase(n + 1)
+	if p < s.Burst {
+		return 0
+	}
+	return s.Window - p
 }

@@ -191,11 +191,23 @@ func FindPairsFused(cur, adj *detect.Track, geom cacheline.Geometry, fuseFactors
 type VTrack struct {
 	Pair HotPair // provenance: the hot pair that created this track
 
-	sampler       detect.Sampler
-	accesses      atomic.Uint64
+	sampler detect.Sampler
+	// accesses counts the accesses offered directly plus every word count
+	// folded in; Accesses adds the counts still pending on the words.
+	accesses atomic.Uint64
+	// allow, while the line's words may count, is the direct count up to
+	// which an access is certain to be unrecorded; 0 while the line counts
+	// exactly and decides every access on its own ordinal.
+	allow         atomic.Uint64
 	recorded      atomic.Uint64
 	invalidations atomic.Uint64
 	hist          histtable.Table
+
+	// words are the counters of the 8-byte words the span overlaps (nil
+	// when sampling records everything). runEnd, share and wordSum are the
+	// plan's working values, written only under the registry mutex.
+	words                  []*atomic.Uint64
+	runEnd, share, wordSum uint64
 
 	// Flight recording (set at registration, before the track is routed to;
 	// nil/zero when flight is disabled). regClock is the access-clock tick
@@ -209,34 +221,46 @@ type VTrack struct {
 	flagClock       atomic.Uint64
 }
 
-// NewVTrack creates verification state for a candidate pair. Virtual lines
+// newVTrack creates verification state for a candidate pair. Virtual lines
 // sample with the same policy as physical tracked lines (§2.4.3), so
 // verified invalidation counts scale with the sampling rate exactly like
 // observed ones.
-func NewVTrack(pair HotPair, sampler detect.Sampler) *VTrack {
+func newVTrack(pair HotPair, sampler detect.Sampler) *VTrack {
 	return &VTrack{Pair: pair, sampler: detect.NewSampler(sampler.Window, sampler.Burst)}
 }
 
 // Span returns the tracked virtual line.
 func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
 
-// HandleAccess feeds one access through the virtual line's history table if
-// it overlaps the span, and reports whether it invalidated the virtual line.
-func (v *VTrack) HandleAccess(tid int, addr, size uint64, isWrite bool) bool {
-	return offer([]*VTrack{v}, tid, addr, size, isWrite) > 0
-}
-
 // offer feeds one access to each virtual line in vs that it overlaps and
-// returns how many it invalidated; Route and HandleAccess both use it. Only
-// the accesses sampling records leave the loop for a call, so a span miss or
-// an unsampled access costs no call.
-func offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool) int {
+// returns how many it invalidated. Only the accesses sampling records, or
+// that pass a line's allowance, leave the loop for a call, so a span miss
+// or an unrecorded access costs no call.
+func (r *Registry) offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool) int {
 	inv := 0
-	for _, v := range vs {
-		if v.Pair.Span.Overlaps(addr, size) &&
-			v.sampler.ShouldRecord(v.accesses.Add(1)) &&
-			v.record(tid, addr, isWrite) {
-			inv++
+	for k, v := range vs {
+		if !v.Pair.Span.Overlaps(addr, size) {
+			continue
+		}
+		n := v.accesses.Add(1)
+		if allow := v.allow.Load(); allow != 0 {
+			// The words may hold pending accesses, so n is not the
+			// ordinal; within the allowance it is certain to be
+			// unrecorded, and past it the access is decided on the
+			// folded ordinal.
+			if n > allow {
+				inv += r.settle(vs[k:k+1], tid, addr, isWrite)
+			}
+			continue
+		}
+		if v.sampler.ShouldRecord(n) {
+			if v.record(tid, addr, isWrite) {
+				inv++
+			}
+			if v.sampler.SkipAfter(n) != 0 {
+				// The line leaves its burst: reopen its words.
+				r.settle(nil, tid, addr, isWrite)
+			}
 		}
 	}
 	return inv
@@ -291,8 +315,17 @@ func (v *VTrack) FlightRecords() []flight.Record { return v.rec.Snapshot() }
 // Invalidations returns verified invalidations on the virtual line.
 func (v *VTrack) Invalidations() uint64 { return v.invalidations.Load() }
 
-// Accesses returns the number of accesses that hit the virtual line.
-func (v *VTrack) Accesses() uint64 { return v.accesses.Load() }
+// Accesses returns the number of accesses that hit the virtual line: those
+// counted directly or folded in, plus those still pending on its words.
+// Exact once routing has stopped; while it runs, it can miss a count that a
+// concurrent fold is moving from a word to the line.
+func (v *VTrack) Accesses() uint64 {
+	n := v.accesses.Load()
+	for _, w := range v.words {
+		n += uint64(uint32(w.Load()))
+	}
+	return n
+}
 
 // Recorded returns how many of those accesses were recorded in detail.
 func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
@@ -302,16 +335,29 @@ func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 // immutable route table that Add replaces copy-on-write: Route loads the
 // current table with one atomic pointer load, binary-searches the access's
 // line, and offers the access to that line's virtual lines — no lock, no
-// map, and (detect.Sampler's fastmod) no division. What remains per virtual
-// line is its access-ordinal add, which sampling and the reported access
-// count need.
+// map, and (detect.Sampler's fastmod) no division.
+//
+// Each virtual line needs every access's ordinal only to decide whether
+// sampling records it, and most ordinals fall in runs that sampling skips.
+// So each physical line with virtual lines also has one counter per 8-byte
+// word, packed as limit<<32 | count: an aligned word access to a word with
+// an open limit makes one add on that word, which sits on a line only the
+// word's writers touch, and returns. A fold, under mu, moves each word's
+// count into the ordinals of the virtual lines the word overlaps; a plan
+// then gives each word the smallest share among its lines of half of their
+// current unrecorded runs, and leaves the rest of each line's run as its
+// allowance for accesses counted directly. Both run on Add, when a word
+// passes its limit, when a direct count passes a line's allowance, and when
+// a line leaves its burst, and whenever an access is decided the ordinals
+// it is decided on are exact, so a serial access stream is sampled exactly
+// as with one add per virtual line.
 type Registry struct {
 	geom    cacheline.Geometry
 	sampler detect.Sampler
 
 	table atomic.Pointer[routeTable] // never nil; replaced whole by Add
 
-	mu    sync.Mutex                 // serializes Add
+	mu    sync.Mutex                 // serializes Add, folds and plans
 	spans map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
 
 	// budget, when non-nil, bounds how many virtual lines may be
@@ -332,6 +378,10 @@ type Registry struct {
 	degradedModeG *obs.Gauge
 }
 
+// maxWordLimit caps a word's limit so that its count, which racing
+// accesses may carry a little past the limit, stays within 32 bits.
+const maxWordLimit = 1 << 31
+
 // NewRegistry creates an empty registry under the given physical geometry;
 // registered virtual lines sample with the given policy.
 func NewRegistry(geom cacheline.Geometry, sampler detect.Sampler) *Registry {
@@ -346,11 +396,21 @@ func NewRegistry(geom cacheline.Geometry, sampler detect.Sampler) *Registry {
 
 // routeTable is one published set of virtual lines. It is never modified
 // after publication: Add builds a successor, so readers holding an older
-// table keep a consistent view.
+// table keep a consistent view. Only the word counters are shared between
+// versions.
 type routeTable struct {
 	lines  []uint64    // physical line indices with virtual lines, ascending
 	tracks [][]*VTrack // tracks[i]: the virtual lines overlapping lines[i]
+	words  []lineWords // words[i]: lines[i]'s word counters
 	all    []*VTrack   // every virtual line in registration order
+}
+
+// lineWords is one physical line's word counters, allocated once and kept
+// by every later table, and this table's list of the virtual lines each word
+// overlaps. ctr is nil when sampling records every access.
+type lineWords struct {
+	ctr     []atomic.Uint64 // limit<<32 | count per word
+	members [][]*VTrack     // members[w]: the virtual lines overlapping word w
 }
 
 // at returns the virtual lines overlapping physical line index l.
@@ -362,12 +422,15 @@ func (t *routeTable) at(l uint64) []*VTrack {
 }
 
 // with returns a new table holding t's virtual lines plus v, indexed under
-// lines first..last. t is left unchanged: the slices it holds are cloned or
-// shared, never written.
-func (t *routeTable) with(v *VTrack, first, last uint64) *routeTable {
+// lines first..last, and appends the counters of the words v overlaps to
+// v.words. A line new to the index gets word counters when counting is set.
+// t is left unchanged: the slices it holds are cloned or shared, never
+// written.
+func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry, counting bool) *routeTable {
 	n := &routeTable{
 		lines:  slices.Clone(t.lines),
 		tracks: slices.Clone(t.tracks),
+		words:  slices.Clone(t.words),
 		all:    append(slices.Clip(t.all), v),
 	}
 	for l := first; l <= last; l++ {
@@ -375,8 +438,25 @@ func (t *routeTable) with(v *VTrack, first, last uint64) *routeTable {
 		if !ok {
 			n.lines = slices.Insert(n.lines, i, l)
 			n.tracks = slices.Insert(n.tracks, i, nil)
+			var ws lineWords
+			if counting {
+				ws.ctr = make([]atomic.Uint64, geom.WordsPerLine())
+				ws.members = make([][]*VTrack, geom.WordsPerLine())
+			}
+			n.words = slices.Insert(n.words, i, ws)
 		}
 		n.tracks[i] = append(slices.Clip(n.tracks[i]), v)
+		ws := &n.words[i]
+		if ws.ctr == nil {
+			continue
+		}
+		ws.members = slices.Clone(ws.members)
+		for w := range ws.ctr {
+			if v.Pair.Span.Overlaps(geom.Base(l)+uint64(w)*cacheline.WordSize, cacheline.WordSize) {
+				ws.members[w] = append(slices.Clip(ws.members[w]), v)
+				v.words = append(v.words, &ws.ctr[w])
+			}
+		}
 	}
 	return n
 }
@@ -440,7 +520,7 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 		return nil
 	}
 	r.spans[pair.Span] = true
-	v := NewVTrack(pair, r.sampler)
+	v := newVTrack(pair, r.sampler)
 	if r.fclock != nil {
 		v.rec = flight.NewRecorder(r.fclock, r.fdepth)
 		v.regClock = r.fclock.Now()
@@ -448,7 +528,13 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 	}
 	first := r.geom.Index(pair.Span.Start)
 	last := r.geom.Index(pair.Span.End - 1)
-	r.table.Store(r.table.Load().with(v, first, last))
+	// Fold before publishing: counts pending on words v overlaps belong to
+	// the lines already registered, not to v.
+	t := r.table.Load()
+	r.fold(t)
+	t = t.with(v, first, last, r.geom, r.sampler.Window > r.sampler.Burst)
+	r.table.Store(t)
+	r.plan(t)
 	r.mu.Unlock()
 	r.vlinesG.Add(1)
 	return v
@@ -459,24 +545,131 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 	t := r.table.Load()
 	line := r.geom.Index(addr)
-	tracks := t.at(line)
-	var spill []*VTrack
+	var tracks []*VTrack
+	if i, ok := slices.BinarySearch(t.lines, line); ok {
+		ws := &t.words[i]
+		if ws.ctr != nil && size == cacheline.WordSize && addr&(cacheline.WordSize-1) == 0 {
+			w := r.geom.WordIndex(addr)
+			if c := &ws.ctr[w]; c.Load()>>32 != 0 {
+				if x := c.Add(1); uint32(x) <= uint32(x>>32) {
+					return 0
+				}
+				// The word passed its limit: decide the access on the
+				// folded ordinals of the lines the word overlaps.
+				return r.counted(r.settle(ws.members[w], tid, addr, isWrite))
+			}
+		}
+		tracks = t.tracks[i]
+	}
+	inv := r.offer(tracks, tid, addr, size, isWrite)
 	if size > 0 {
 		if last := r.geom.Index(addr + size - 1); last != line {
-			spill = t.at(last)
+			spill := t.at(last)
+			for k, v := range spill {
+				// Tracks registered under both lines were handled above.
+				if !slices.Contains(tracks, v) {
+					inv += r.offer(spill[k:k+1], tid, addr, size, isWrite)
+				}
+			}
 		}
 	}
-	inv := offer(tracks, tid, addr, size, isWrite)
-	for _, v := range spill {
-		// Tracks registered under both lines were handled above.
-		if !slices.Contains(tracks, v) && v.HandleAccess(tid, addr, size, isWrite) {
-			inv++
-		}
-	}
+	return r.counted(inv)
+}
+
+// counted adds inv to the verified-invalidation counter and returns it.
+func (r *Registry) counted(inv int) int {
 	if inv > 0 {
 		r.vinvC.Add(uint64(inv))
 	}
 	return inv
+}
+
+// settle is word counting's slow path. Under mu it folds every word, decides
+// the access on the folded ordinal of each line in vs, and replans.
+func (r *Registry) settle(vs []*VTrack, tid int, addr uint64, isWrite bool) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.table.Load()
+	r.fold(t)
+	inv := 0
+	for _, v := range vs {
+		if v.sampler.ShouldRecord(v.accesses.Load()) && v.record(tid, addr, isWrite) {
+			inv++
+		}
+	}
+	r.plan(t)
+	return inv
+}
+
+// fold moves each word's pending count into the ordinals of the virtual
+// lines the word overlaps and closes the word. Call with mu held.
+func (r *Registry) fold(t *routeTable) {
+	for _, ws := range t.words {
+		for w := range ws.ctr {
+			if ws.ctr[w].Load() == 0 {
+				continue
+			}
+			c := uint64(uint32(ws.ctr[w].Swap(0)))
+			for _, v := range ws.members[w] {
+				v.accesses.Add(c)
+			}
+		}
+	}
+}
+
+// plan reopens the words after a fold. Each line with an unrecorded run
+// ahead of it shares half of that run evenly among its words; each word
+// takes the smallest share among its lines, and the rest of each line's run
+// is its allowance. A line whose share is 0 — inside its burst, or too close
+// to it — keeps its words closed and counts exactly. Call with mu held.
+func (r *Registry) plan(t *routeTable) {
+	for _, v := range t.all {
+		n := v.accesses.Load()
+		run := v.sampler.SkipAfter(n)
+		v.runEnd, v.share, v.wordSum = n+run, 0, 0
+		if len(v.words) > 0 {
+			v.share = min(run/uint64(2*len(v.words)), maxWordLimit)
+		}
+	}
+	for _, ws := range t.words {
+		for _, vs := range ws.members {
+			lim := wordLimit(vs)
+			for _, v := range vs {
+				v.wordSum += lim
+			}
+		}
+	}
+	// Each allowance is published before any of the line's words opens:
+	// until then its direct accesses are decided on their own ordinals.
+	for _, v := range t.all {
+		var allow uint64
+		if v.share > 0 {
+			allow = v.runEnd - v.wordSum
+		}
+		v.allow.Store(allow)
+	}
+	// Adding the limit, not storing it, keeps the counts of accesses that
+	// raced the fold.
+	for _, ws := range t.words {
+		for w, vs := range ws.members {
+			if lim := wordLimit(vs); lim > 0 {
+				ws.ctr[w].Add(lim << 32)
+			}
+		}
+	}
+}
+
+// wordLimit returns the smallest share among a word's virtual lines, 0 when
+// it has none.
+func wordLimit(vs []*VTrack) uint64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	lim := vs[0].share
+	for _, v := range vs[1:] {
+		lim = min(lim, v.share)
+	}
+	return lim
 }
 
 // VSnapshot is an immutable point-in-time copy of one virtual line's

@@ -3,6 +3,7 @@ package predict
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -221,17 +222,17 @@ func TestFindPairsLowEstimateDropped(t *testing.T) {
 }
 
 func TestVTrackVerification(t *testing.T) {
-	pair := HotPair{
+	r := NewRegistry(geom, detect.Sampler{})
+	v := r.Add(HotPair{
 		X:    HotWord{Addr: base + 56, Writes: 100, Thread: 1},
 		Y:    HotWord{Addr: base + 64, Writes: 100, Thread: 2},
 		Span: cacheline.NewVirtual(base+28, 64),
 		Kind: KindAlignment,
-	}
-	v := NewVTrack(pair, detect.Sampler{})
+	})
 	// Interleaved writes inside the span invalidate.
 	for i := 0; i < 10; i++ {
-		v.HandleAccess(1, base+56, 8, true)
-		v.HandleAccess(2, base+64, 8, true)
+		r.Route(1, base+56, 8, true)
+		r.Route(2, base+64, 8, true)
 	}
 	if v.Invalidations() != 19 {
 		t.Errorf("invalidations = %d, want 19", v.Invalidations())
@@ -239,9 +240,10 @@ func TestVTrackVerification(t *testing.T) {
 	if v.Accesses() != 20 {
 		t.Errorf("accesses = %d, want 20", v.Accesses())
 	}
-	// Accesses outside the span are ignored.
+	// Accesses outside the span are ignored, on an indexed line or not.
 	before := v.Accesses()
-	v.HandleAccess(3, base+500, 8, true)
+	r.Route(3, base+8, 8, true)
+	r.Route(3, base+500, 8, true)
 	if v.Accesses() != before {
 		t.Error("out-of-span access counted")
 	}
@@ -335,19 +337,52 @@ func TestPropPairsSatisfyPaperConditions(t *testing.T) {
 	}
 }
 
+// BenchmarkRegistryRoute routes linear_regression's accumulator stream
+// through its 8 virtual lines under core's default sampling (the first
+// 10,000 of every 1,000,000 accesses). One op is one thread's loop
+// iteration, 11 routed accesses, so that RunParallel's own per-op
+// bookkeeping stays small beside it: the thread loads the points pointer
+// and loads and stores five sums, all aligned words on its own physical
+// line.
+// "serial" alternates two threads' iterations on one goroutine; "parallel"
+// gives each goroutine one thread's line.
 func BenchmarkRegistryRoute(b *testing.B) {
-	r := NewRegistry(geom, detect.Sampler{})
-	r.Add(HotPair{
-		X:    HotWord{Addr: base + 56, Writes: 10, Thread: 1},
-		Y:    HotWord{Addr: base + 64, Writes: 10, Thread: 2},
-		Span: cacheline.NewVirtual(base+28, 64),
-	})
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			r.Route(i&1, base+56, 8, true)
-			i++
+	type access struct {
+		off   uint64
+		write bool
+	}
+	iter := []access{{8, false}}
+	for _, off := range []uint64{24, 40, 32, 48, 56} {
+		iter = append(iter, access{off, false}, access{off, true})
+	}
+	registry := func() *Registry {
+		r := NewRegistry(geom, detect.NewSampler(1_000_000, 10_000))
+		for _, span := range lregSpans() {
+			r.Add(HotPair{Span: span})
 		}
+		return r
+	}
+	b.Run("serial", func(b *testing.B) {
+		r := registry()
+		for i := 0; i < b.N; i++ {
+			tid := i & 1
+			for _, a := range iter {
+				r.Route(tid, base+64*uint64(tid)+a.off, 8, a.write)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		r := registry()
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			tid := int(next.Add(1)-1) & 1
+			line := base + 64*uint64(tid)
+			for pb.Next() {
+				for _, a := range iter {
+					r.Route(tid, line+a.off, 8, a.write)
+				}
+			}
+		})
 	})
 }
 
@@ -418,20 +453,38 @@ func cloneTable(t *routeTable) *routeTable {
 	for _, vs := range t.tracks {
 		c.tracks = append(c.tracks, slices.Clone(vs))
 	}
+	for _, ws := range t.words {
+		members := make([][]*VTrack, len(ws.members))
+		for w, vs := range ws.members {
+			members[w] = slices.Clone(vs)
+		}
+		c.words = append(c.words, lineWords{ctr: ws.ctr, members: members})
+	}
 	return c
 }
 
 func sameTable(a, b *routeTable) bool {
+	sameWords := func(x, y lineWords) bool {
+		return len(x.ctr) == len(y.ctr) && (len(x.ctr) == 0 || &x.ctr[0] == &y.ctr[0]) &&
+			slices.EqualFunc(x.members, y.members, slices.Equal[[]*VTrack])
+	}
 	return slices.Equal(a.lines, b.lines) && slices.Equal(a.all, b.all) &&
-		slices.EqualFunc(a.tracks, b.tracks, slices.Equal[[]*VTrack])
+		slices.EqualFunc(a.tracks, b.tracks, slices.Equal[[]*VTrack]) &&
+		slices.EqualFunc(a.words, b.words, sameWords)
 }
 
 // Add publishes a new route table while Route, Snapshots and
 // SnapshotsOverlapping read without locking: a table loaded before an Add is
 // unchanged after it, and a Route issued once Add has returned reaches the
-// new virtual line.
+// new virtual line. With sampling on, the readers' words also open, pass
+// their limits and fold while Add runs.
 func TestRegistryAddConcurrentWithReaders(t *testing.T) {
-	r := NewRegistry(geom, detect.Sampler{})
+	t.Run("exact", func(t *testing.T) { testAddConcurrentWithReaders(t, detect.Sampler{}) })
+	t.Run("sampled", func(t *testing.T) { testAddConcurrentWithReaders(t, detect.NewSampler(100, 5)) })
+}
+
+func testAddConcurrentWithReaders(t *testing.T, sampler detect.Sampler) {
+	r := NewRegistry(geom, sampler)
 	hot := r.Add(HotPair{Span: cacheline.NewVirtual(base+28, 64)}) // lines 0 and 1
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
