@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -137,8 +138,17 @@ func TestPredbenchSingleExperiments(t *testing.T) {
 }
 
 func TestPredbenchUnknownExperiment(t *testing.T) {
-	if out, err := run(t, "predbench", "-experiment", "fig99"); err == nil {
-		t.Errorf("unknown experiment accepted:\n%s", out)
+	for _, args := range [][]string{
+		{"-experiment", "fig99"},
+		// -bench-workloads selects the -bench-json sweep's workloads; on
+		// its own it must not fall through to -experiment all.
+		{"-bench-workloads", "mysql"},
+	} {
+		out, err := run(t, "predbench", args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("predbench %v: err = %v, want exit 2:\n%s", args, err, out)
+		}
 	}
 }
 

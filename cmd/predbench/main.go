@@ -34,9 +34,7 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 0, "heartbeat interval for periodic metric snapshots (0 = off)")
 		benchJSON  = flag.String("bench-json", "", "write machine-readable benchmark results (workload x mode medians, throughput, detector stats) to this file")
 		benchWork  = flag.String("bench-workloads", "", "comma-separated workloads for -bench-json (default: all evaluated workloads)")
-		benchComp  = flag.String("bench-compare", "", "re-measure the workloads in this baseline -bench-json file and fail on slowdown-ratio regression or finding-count drift")
-		benchTol   = flag.Float64("bench-tolerance", eval.DefaultBenchTolerance, "relative slowdown-ratio growth -bench-compare tolerates before failing")
-		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler (reproducible finding counts; required for a drift-free -bench-compare gate)")
+		benchDet   = flag.Bool("bench-deterministic", false, "run evaluations under the deterministic scheduler, so finding counts repeat exactly from run to run")
 		elidePath  = flag.String("elide", "", "static elision manifest: empty binds the built-in one for the in-tree workloads, \"off\" disables elision, a path loads a predlint -elide-out file, applied to every detection run")
 		version    = flag.Bool("version", false, "print build version and exit")
 	)
@@ -48,15 +46,19 @@ func main() {
 		return
 	}
 
-	// -bench-json / -bench-compare alone run only the bench sweep; an
-	// explicit -experiment keeps its usual meaning alongside them.
+	// -bench-json alone runs only the bench sweep; an explicit -experiment
+	// keeps its usual meaning alongside it.
 	expSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "experiment" {
 			expSet = true
 		}
 	})
-	bench := *benchJSON != "" || *benchComp != ""
+	bench := *benchJSON != ""
+	if *benchWork != "" && !bench {
+		fmt.Fprintln(os.Stderr, "predbench: -bench-workloads needs -bench-json (usage: predbench -bench-json FILE -bench-workloads NAME[,NAME...])")
+		os.Exit(2)
+	}
 	if bench && !expSet {
 		*experiment = "bench"
 	}
@@ -77,14 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Elide = manifest
-	var baseline *eval.BenchDoc
-	if *benchComp != "" {
-		var err error
-		if baseline, err = eval.ReadBenchFile(*benchComp); err != nil {
-			fmt.Fprintf(os.Stderr, "predbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	// One session aggregates every run the experiments do: its OnRuntime
 	// hook (set only when an export reads the runtime) follows each
@@ -116,35 +110,18 @@ func main() {
 	if bench {
 		run("Bench: workload x mode sweep (machine-readable)", func() error {
 			workloads := eval.AllWorkloads()
-			switch {
-			case *benchWork != "":
+			if *benchWork != "" {
 				workloads = strings.Split(*benchWork, ",")
-			case baseline != nil:
-				// Re-measure exactly what the baseline covers, so the
-				// comparison never fails on coverage mismatch.
-				workloads = baseline.BenchWorkloads()
 			}
 			doc, err := eval.Bench(cfg, workloads)
 			if err != nil {
 				return err
 			}
-			if *benchJSON != "" {
-				if err := doc.WriteJSONFile(*benchJSON); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %d records (%d workloads x %d modes) to %s\n",
-					len(doc.Records), len(workloads), 3, *benchJSON)
+			if err := doc.WriteJSONFile(*benchJSON); err != nil {
+				return err
 			}
-			if baseline != nil {
-				cmp, err := eval.CompareBench(baseline, doc, *benchTol)
-				if err != nil {
-					return err
-				}
-				fmt.Print(cmp.Render())
-				if !cmp.OK() {
-					return fmt.Errorf("benchmark gate failed against %s", *benchComp)
-				}
-			}
+			fmt.Printf("wrote %d records (%d workloads x %d modes) to %s\n",
+				len(doc.Records), len(workloads), 3, *benchJSON)
 			return nil
 		})
 	}

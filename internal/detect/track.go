@@ -344,8 +344,9 @@ const (
 // owner's pre-write state — only the seeded entry's write *bit* can lag,
 // and the table's update rules never read an entry's write bit when
 // deciding invalidations, so counts cannot drift. Invalidation counts are
-// therefore bit-identical to calling hist.Access unconditionally — the
-// determinism the bench gate asserts.
+// therefore bit-identical to calling hist.Access unconditionally, so
+// deterministic finding counts repeat exactly (eval TestBenchFindingCounts
+// pins them).
 func (t *Track) histAccess(tid int, isWrite bool) (invalidated bool) {
 	for {
 		e := t.epoch.Load()

@@ -23,8 +23,7 @@ type BenchRecord struct {
 	Scale      int    `json:"scale"`
 	Repeats    int    `json:"repeats"`
 
-	MedianNs int64 `json:"median_ns"`        // median workload wall time
-	MinNs    int64 `json:"min_ns,omitempty"` // fastest repeat; the regression gate's preferred signal (noise-robust)
+	MedianNs int64 `json:"median_ns"` // median workload wall time
 
 	// Detector-side measurements; zero in Original mode (no runtime).
 	Accesses       uint64  `json:"accesses,omitempty"`
@@ -75,16 +74,12 @@ func Bench(cfg Config, workloads []string) (*BenchDoc, error) {
 		}
 		for _, mode := range benchModes {
 			var last *harness.Result
-			min := time.Duration(0)
 			median, err := medianDuration(cfg.Repeats, func() (time.Duration, error) {
 				res, err := detect(cfg, name, mode, true, harness.UseDefaultOffset)
 				if err != nil {
 					return 0, err
 				}
 				last = res
-				if min == 0 || res.Duration < min {
-					min = res.Duration
-				}
 				return res.Duration, nil
 			})
 			if err != nil {
@@ -99,7 +94,6 @@ func Bench(cfg Config, workloads []string) (*BenchDoc, error) {
 				Scale:      cfg.Scale,
 				Repeats:    cfg.Repeats,
 				MedianNs:   median.Nanoseconds(),
-				MinNs:      min.Nanoseconds(),
 			}
 			if mode != harness.ModeNative && last != nil {
 				st := last.RuntimeStats

@@ -44,9 +44,9 @@ type Config struct {
 	// diagnostics server uses it to follow the evaluation from run to run.
 	OnRuntime func(*core.Runtime)
 	// Deterministic serializes workers under the round-robin scheduler so
-	// detection counts are exactly reproducible — the mode the benchmark
-	// regression gate (predbench -bench-compare) runs in, since its
-	// finding-drift check needs run-to-run stable counts.
+	// detection counts are exactly reproducible — the mode the finding-count
+	// checks run in (TestBenchFindingCounts, CI's elision step), since they
+	// compare counts across runs.
 	Deterministic bool
 	// Elide selects the elision manifest every detection run binds (see
 	// harness.Options.Elide): nil is the built-in manifest, harness.ElideOff

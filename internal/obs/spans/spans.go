@@ -62,9 +62,9 @@ type Config struct {
 	// overwritten and counted in Dropped.
 	Capacity int
 	// Deterministic seeds ID generation from Seed instead of the clock, so
-	// repeated runs mint identical trace/span IDs — the bench gate's
-	// reproducibility mode. Structure comparison (Signature) never depends
-	// on IDs, so leaving this off only affects the IDs themselves.
+	// repeated runs mint identical trace/span IDs, as the CLIs' -deterministic
+	// runs do. Structure comparison (Signature) never depends on IDs, so
+	// leaving this off only affects the IDs themselves.
 	Deterministic bool
 	// Seed is the deterministic ID seed (default 1; ignored unless
 	// Deterministic).
@@ -388,8 +388,8 @@ func (d Data) Duration() time.Duration {
 // Signature renders a snapshot's span tree in a canonical, ID- and
 // time-free form: name, labels, and attribute counters, children nested
 // under parents in logical-clock order. Two deterministic runs of the same
-// configuration produce equal signatures — the bench gate's span-tree
-// reproducibility contract.
+// configuration produce equal signatures — the span-tree reproducibility
+// contract TestSpanTreeDeterministic checks.
 func Signature(data []Data) string {
 	children := make(map[string][]Data)
 	byID := make(map[string]bool, len(data))
