@@ -151,6 +151,11 @@ func DefaultConfig() Config {
 
 // Runtime is the PREDATOR runtime attached to one simulated heap.
 type Runtime struct {
+	// slots maps each tid to its counts (countSlot): read on every access
+	// beside the read-only fields below, and replaced copy-on-write under
+	// slotsMu on a tid's first access.
+	slots atomic.Pointer[[]*countSlot]
+
 	cfg  Config
 	heap *mem.Heap
 	geom cacheline.Geometry
@@ -178,8 +183,11 @@ type Runtime struct {
 	fclock *flight.Clock
 	fdepth int
 
+	// slotsMu serializes addSlot. totalAccesses and totalWrites hold what
+	// the slots have published, plus every access of a tid without a slot.
+	slotsMu sync.Mutex
 	// predlint padcheck: pads keep each contended counter on its own cache line.
-	_             [32]byte
+	_             [24]byte
 	totalAccesses atomic.Uint64
 	_             [56]byte
 	totalWrites   atomic.Uint64
@@ -243,6 +251,7 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 		sampler: sampler,
 		vreg:    predict.NewRegistry(geom, sampler),
 	}
+	rt.slots.Store(&noSlots)
 	if cfg.MaxTrackedLines > 0 {
 		rt.trackBudget = resilience.NewBudget(cfg.MaxTrackedLines)
 	}
@@ -317,18 +326,38 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // HandleAccess is the instrumentation entry point (paper Figure 1): one
 // memory access of the given size by thread tid. Accesses spanning line
 // boundaries are split across the lines they touch. Accesses outside the
-// simulated heap are ignored.
+// simulated heap are ignored. One goroutine at a time delivers a given
+// tid's accesses, as a front-end thread or a replay loop does: the tid's
+// counts are plain fields only that goroutine writes (see countSlot).
 func (rt *Runtime) HandleAccess(tid int, addr, size uint64, isWrite bool) {
 	if size == 0 {
 		return
 	}
-	n := rt.totalAccesses.Add(1)
-	if n&(obs.SyncBatch-1) == 0 {
-		obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
+	var c *countSlot
+	if t := *rt.slots.Load(); uint(tid) < uint(len(t)) {
+		c = t[tid]
+	}
+	if c == nil {
+		if c = rt.addSlot(tid); c == nil {
+			rt.countShared(isWrite)
+			rt.dispatch(tid, addr, size, isWrite)
+			return
+		}
+	}
+	if isWrite {
+		if c.writes++; c.writes == obs.SyncBatch {
+			c.writes = 0
+			obs.SyncCounter(rt.writesC, rt.totalWrites.Add(obs.SyncBatch), &rt.pushedWrites)
+		}
+	}
+	if c.accesses++; c.accesses == obs.SyncBatch {
+		c.accesses = 0
+		obs.SyncCounter(rt.accessesC, rt.totalAccesses.Add(obs.SyncBatch), &rt.pushedAccesses)
 		if rt.self != nil {
-			// Self-profiling times one full access per SyncBatch: the
-			// histogram mean approximates the per-access instrumented cost
-			// while the other SyncBatch-1 accesses pay only the nil check.
+			// Self-profiling times one full access per SyncBatch of a
+			// thread: the histogram mean approximates the per-access
+			// instrumented cost while the other SyncBatch-1 accesses pay
+			// only the nil check.
 			began := time.Now()
 			rt.dispatch(tid, addr, size, isWrite)
 			rt.self.ObserveTrack(time.Since(began))
@@ -338,15 +367,80 @@ func (rt *Runtime) HandleAccess(tid int, addr, size uint64, isWrite bool) {
 	rt.dispatch(tid, addr, size, isWrite)
 }
 
-// dispatch routes one access through write counting, the per-line detection
-// path, and — when virtual lines are active — prediction verification.
-func (rt *Runtime) dispatch(tid int, addr, size uint64, isWrite bool) {
+// countSlot is one tid's access and write counts not yet added to the
+// runtime's shared totals. Only the goroutine delivering the tid's accesses
+// writes it, with plain increments: an atomic store would compile to a
+// locked XCHG on amd64, which is the cost the slot exists to avoid. Every
+// obs.SyncBatch counts it adds the batch to the shared total. The padding
+// gives each slot cache lines no other slot shares.
+type countSlot struct {
+	accesses, writes uint64
+	_                [112]byte
+}
+
+// maxCountSlots bounds the slot table. A tid outside [0, maxCountSlots) —
+// a salvaged trace can carry any int32 — counts on the shared totals
+// instead of sizing the table.
+const maxCountSlots = 1 << 10
+
+// noSlots is the empty table a runtime starts with; tables are never
+// written once published, so every runtime can share it.
+var noSlots []*countSlot
+
+// addSlot runs on a tid's first access: it publishes a copy of the slot
+// table that holds a slot for tid and returns the slot, or nil when tid is
+// out of the table's range.
+func (rt *Runtime) addSlot(tid int) *countSlot {
+	if uint(tid) >= maxCountSlots {
+		return nil
+	}
+	rt.slotsMu.Lock()
+	defer rt.slotsMu.Unlock()
+	old := *rt.slots.Load()
+	if tid < len(old) && old[tid] != nil {
+		return old[tid]
+	}
+	t := make([]*countSlot, max(len(old), tid+1))
+	copy(t, old)
+	t[tid] = new(countSlot)
+	rt.slots.Store(&t)
+	return t[tid]
+}
+
+// countShared counts an access of a tid without a slot on the shared
+// totals, one locked add each.
+func (rt *Runtime) countShared(isWrite bool) {
 	if isWrite {
-		nw := rt.totalWrites.Add(1)
-		if nw&(obs.SyncBatch-1) == 0 {
+		if nw := rt.totalWrites.Add(1); nw%obs.SyncBatch == 0 {
 			obs.SyncCounter(rt.writesC, nw, &rt.pushedWrites)
 		}
 	}
+	if n := rt.totalAccesses.Add(1); n%obs.SyncBatch == 0 {
+		obs.SyncCounter(rt.accessesC, n, &rt.pushedAccesses)
+	}
+}
+
+// counts returns the access and write totals the slots have published and,
+// when exact, adds every slot's unpublished remainder. Reading a remainder
+// races with the goroutine that writes it, so exact is for a caller those
+// goroutines have joined, or one that delivers the accesses itself.
+func (rt *Runtime) counts(exact bool) (accesses, writes uint64) {
+	accesses, writes = rt.totalAccesses.Load(), rt.totalWrites.Load()
+	if !exact {
+		return accesses, writes
+	}
+	for _, c := range *rt.slots.Load() {
+		if c != nil {
+			accesses += c.accesses
+			writes += c.writes
+		}
+	}
+	return accesses, writes
+}
+
+// dispatch routes one access through the per-line detection path and —
+// when virtual lines are active — prediction verification.
+func (rt *Runtime) dispatch(tid int, addr, size uint64, isWrite bool) {
 	first, ok := rt.mapping.Index(addr)
 	if !ok {
 		return
@@ -559,15 +653,17 @@ func (rt *Runtime) onFree(start, size uint64) {
 	}
 }
 
-// flushMetrics pushes the exact totals behind the batched hot-path counters
-// into the registry, so exported snapshots are exact whenever anyone looks
-// (heartbeats between flushes may lag by up to obs.SyncBatch-1 events).
-func (rt *Runtime) flushMetrics() {
+// flushMetrics pushes the totals behind the batched hot-path counters into
+// the registry. With exact (see counts) the access and write counters read
+// exactly; without, they read the published totals, which lag by less than
+// obs.SyncBatch per thread, as heartbeats between flushes do.
+func (rt *Runtime) flushMetrics(exact bool) {
 	if rt.obs == nil {
 		return
 	}
-	obs.SyncCounter(rt.accessesC, rt.totalAccesses.Load(), &rt.pushedAccesses)
-	obs.SyncCounter(rt.writesC, rt.totalWrites.Load(), &rt.pushedWrites)
+	accesses, writes := rt.counts(exact)
+	obs.SyncCounter(rt.accessesC, accesses, &rt.pushedAccesses)
+	obs.SyncCounter(rt.writesC, writes, &rt.pushedWrites)
 	obs.SyncCounter(rt.invC, rt.obsInvs.Load(), &rt.pushedInvs)
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) { t.FlushMetrics() })
 }
@@ -634,7 +730,7 @@ func (rt *Runtime) Provisional() *report.Report {
 // with its span ID so a -json finding links back to its span in the
 // -spans-out trace.
 func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
-	rt.flushMetrics()
+	rt.flushMetrics(final)
 	rep := &report.Report{Geometry: rt.geom}
 
 	// Observed findings: tracked physical lines above the threshold.
@@ -731,14 +827,22 @@ type Stats struct {
 
 // Stats returns a snapshot of runtime counters. Invalidation and sampling
 // totals are summed from per-line state at snapshot time, so the access fast
-// path carries no extra aggregate counters.
-func (rt *Runtime) Stats() Stats {
-	rt.flushMetrics()
-	s := Stats{
-		Accesses:     rt.totalAccesses.Load(),
-		Writes:       rt.totalWrites.Load(),
-		VirtualLines: len(rt.vreg.Tracks()),
-	}
+// path carries no extra aggregate counters. Accesses and Writes add every
+// thread's unpublished count, so they are exact, and the call race-free,
+// once the goroutines delivering accesses have joined the caller, or when
+// the caller delivers them itself, as trace replay does. A reader running
+// beside them calls LiveStats.
+func (rt *Runtime) Stats() Stats { return rt.stats(true) }
+
+// LiveStats is Stats for a reader running beside the workers, such as the
+// diagnostics server: Accesses and Writes are the published totals, which
+// lag the exact counts by less than obs.SyncBatch per thread.
+func (rt *Runtime) LiveStats() Stats { return rt.stats(false) }
+
+func (rt *Runtime) stats(exact bool) Stats {
+	rt.flushMetrics(exact)
+	s := Stats{VirtualLines: len(rt.vreg.Tracks())}
+	s.Accesses, s.Writes = rt.counts(exact)
 	rt.sh.ForEachTracked(func(_ uint64, t *detect.Track) {
 		s.TrackedLines++
 		s.Invalidations += t.Invalidations()

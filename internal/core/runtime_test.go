@@ -465,6 +465,78 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestCountsPerTIDExact: workers count their accesses in per-tid slots and
+// publish them in batches. Beside the workers, LiveStats reads only the
+// published totals, which lag by less than obs.SyncBatch per tid; once they
+// have joined, Stats and the registry counters are exact. Two tids outside
+// the slot table count on the shared totals instead, and never size it.
+func TestCountsPerTIDExact(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Observer = obs.New(reg, nil)
+	rt, h := newRuntime(t, cfg)
+	addr, err := h.AllocWithOffset(0, 256, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tids := []int{0, 1, 2, 3, 7, maxCountSlots, 1 << 30}
+	var wantAccesses, wantWrites uint64
+	perTID := make([]int, len(tids))
+	for i := range tids {
+		perTID[i] = 3*obs.SyncBatch + 41*i + 5
+		wantAccesses += uint64(perTID[i])
+		wantWrites += uint64((perTID[i] + 1) / 2)
+	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s := rt.LiveStats(); s.Accesses > wantAccesses || s.Writes > wantWrites {
+				t.Errorf("live stats %d accesses, %d writes exceed the run's %d, %d", s.Accesses, s.Writes, wantAccesses, wantWrites)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i, tid := range tids {
+		wg.Add(1)
+		go func(tid, n int) {
+			defer wg.Done()
+			word := addr + uint64(tid%4)*8
+			for j := 0; j < n; j++ {
+				rt.HandleAccess(tid, word, 8, j%2 == 0)
+			}
+		}(tid, perTID[i])
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+
+	live := rt.LiveStats()
+	if lag := wantAccesses - live.Accesses; live.Accesses > wantAccesses || lag >= uint64(len(tids))*obs.SyncBatch {
+		t.Errorf("live accesses = %d, want within %d below %d", live.Accesses, len(tids)*obs.SyncBatch, wantAccesses)
+	}
+	s := rt.Stats()
+	if s.Accesses != wantAccesses || s.Writes != wantWrites {
+		t.Errorf("stats = %d accesses, %d writes; want %d, %d", s.Accesses, s.Writes, wantAccesses, wantWrites)
+	}
+	snap := reg.Snapshot()
+	if got := uint64(snap["predator_accesses_total"]); got != wantAccesses {
+		t.Errorf("predator_accesses_total = %d, want %d", got, wantAccesses)
+	}
+	if got := uint64(snap["predator_writes_total"]); got != wantWrites {
+		t.Errorf("predator_writes_total = %d, want %d", got, wantWrites)
+	}
+	if n := len(*rt.slots.Load()); n != 8 {
+		t.Errorf("slot table holds %d tids, want 8 (tids 0 to 7)", n)
+	}
+}
+
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.TrackingThreshold != DefaultTrackingThreshold ||

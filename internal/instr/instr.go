@@ -105,7 +105,7 @@ type Instrumenter struct {
 	elider Elider // static elision fast path; nil = no manifest loaded
 
 	// tid → label, for timeline track naming, and every thread minted, for
-	// folding their unpublished elided counts. NewThread is cold path.
+	// folding their unpublished counts. NewThread is cold path.
 	tmu     sync.Mutex
 	tnames  map[int]string
 	threads []*Thread
@@ -118,13 +118,13 @@ type Instrumenter struct {
 	_          [56]byte
 	nextTID    atomic.Int64
 	_          [56]byte
-	delivered  atomic.Uint64
+	delivered  atomic.Uint64 // delivered events the threads have published (see Thread.delivered)
 	_          [56]byte
-	suppressed atomic.Uint64
+	suppressed atomic.Uint64 // suppressed events the threads have published
 	_          [56]byte
 	faults     atomic.Uint64 // out-of-heap accesses absorbed (non-strict)
 	_          [56]byte
-	elided     atomic.Uint64 // elided events the threads have published (see Thread.elided)
+	elided     atomic.Uint64 // elided events the threads have published
 
 	// Observability (nil when unobserved; set via Observe before threads
 	// run). Counters are batched: notify syncs the registry every
@@ -176,32 +176,50 @@ func (in *Instrumenter) Observe(o *obs.Observer) {
 // goroutine creation, like Observe); nil uninstalls.
 func (in *Instrumenter) SetElision(e Elider) { in.elider = e }
 
+// Delivered returns the number of events delivered to the sink: what the
+// threads published plus every thread's unpublished remainder (see
+// Thread.delivered). It reads those remainders, so it is exact, and
+// race-free, once the goroutines that used the threads have joined the
+// caller; the registry counter is what a mid-run reader sees.
+func (in *Instrumenter) Delivered() uint64 {
+	return in.exact(&in.delivered, func(t *Thread) uint64 { return t.delivered })
+}
+
+// Suppressed returns the number of events dropped by policy or dedup, exact
+// once the threads have joined, as Delivered is.
+func (in *Instrumenter) Suppressed() uint64 {
+	return in.exact(&in.suppressed, func(t *Thread) uint64 { return t.suppressed })
+}
+
 // Elided returns the number of events dropped by the static elision fast
-// path: what the threads published plus each thread's unpublished
-// remainder. It reads those remainders, so it is exact, and race-free, once
-// the goroutines that used the threads have joined the caller; the registry
-// counter is what a mid-run reader sees.
+// path, exact once the threads have joined, as Delivered is.
 func (in *Instrumenter) Elided() uint64 {
-	n := in.elided.Load()
+	return in.exact(&in.elided, func(t *Thread) uint64 { return t.elided })
+}
+
+// exact adds every thread's unpublished remainder to a published total.
+func (in *Instrumenter) exact(published *atomic.Uint64, remainder func(*Thread) uint64) uint64 {
+	n := published.Load()
 	in.tmu.Lock()
 	for _, t := range in.threads {
-		n += t.elided
+		n += remainder(t)
 	}
 	in.tmu.Unlock()
 	return n
 }
 
 // FlushMetrics pushes the exact delivered/suppressed/elided totals into the
-// registry; the notify hot path batches pushes to every obs.SyncBatch-th
-// event (per thread, for elided events). The elided total reads the
-// threads' remainders as Elided does, so call it once their goroutines have
-// joined. Safe to call on an unobserved instrumenter (no-op).
+// registry; the notify hot path pushes once per obs.SyncBatch events of a
+// thread. It reads the threads' remainders as Delivered does, so call it
+// once their goroutines have joined. Safe to call on an unobserved
+// instrumenter (no-op).
 func (in *Instrumenter) FlushMetrics() {
-	obs.SyncCounter(in.deliveredC, in.delivered.Load(), &in.pushedDelivered)
-	obs.SyncCounter(in.suppressedC, in.suppressed.Load(), &in.pushedSuppressed)
-	if in.elidedC != nil {
-		obs.SyncCounter(in.elidedC, in.Elided(), &in.pushedElided)
+	if in.deliveredC == nil {
+		return
 	}
+	obs.SyncCounter(in.deliveredC, in.Delivered(), &in.pushedDelivered)
+	obs.SyncCounter(in.suppressedC, in.Suppressed(), &in.pushedSuppressed)
+	obs.SyncCounter(in.elidedC, in.Elided(), &in.pushedElided)
 }
 
 // SetEnabled toggles event delivery at runtime.
@@ -219,12 +237,6 @@ func (in *Instrumenter) Strict() bool { return in.strict.Load() }
 // (always 0 in strict mode, which panics instead).
 func (in *Instrumenter) Faults() uint64 { return in.faults.Load() }
 
-// Delivered returns the number of events delivered to the sink.
-func (in *Instrumenter) Delivered() uint64 { return in.delivered.Load() }
-
-// Suppressed returns the number of events dropped by policy or dedup.
-func (in *Instrumenter) Suppressed() uint64 { return in.suppressed.Load() }
-
 // dedupSlots is the fixed capacity of a thread's dedup ring.
 const dedupSlots = 16
 
@@ -237,11 +249,15 @@ type Thread struct {
 	scope string
 	slot  *sched.Slot // deterministic-schedule handle; nil when free-running
 
-	// elided counts elided events not yet added to the Instrumenter's
-	// shared total. The thread publishes them in batches of obs.SyncBatch,
-	// so an elided access writes only this thread's own state, not a
-	// counter every worker writes; Elided and FlushMetrics add the rest.
-	elided uint64
+	// delivered, suppressed and elided count this thread's events not yet
+	// added to the Instrumenter's shared totals. Each is a plain field only
+	// this thread's goroutine writes; when one reaches obs.SyncBatch the
+	// thread adds the batch to the shared total and syncs the registry
+	// counter, so an event writes no counter other workers write. Delivered,
+	// Suppressed, Elided and FlushMetrics add the rest.
+	delivered  uint64
+	suppressed uint64
+	elided     uint64
 
 	ring    [dedupSlots]uint64 // packed (line<<1 | isWrite) history
 	ringLen int
@@ -328,6 +344,13 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 	if t.slot != nil {
 		t.slot.Tick()
 	}
+	// A zero-byte access touches no line. The tick above already charged it
+	// to the deterministic schedule, so dropping it here leaves the
+	// interleaving unchanged, and the delivered count stays equal to the
+	// runtime's, which would drop it uncounted.
+	if size == 0 {
+		return
+	}
 	in := t.in
 	if !in.enabled.Load() {
 		return
@@ -343,9 +366,7 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 		return
 	}
 	if !in.policy.allows(t.scope, isWrite) {
-		if sn := in.suppressed.Add(1); sn&(obs.SyncBatch-1) == 0 {
-			obs.SyncCounter(in.suppressedC, sn, &in.pushedSuppressed)
-		}
+		t.suppress()
 		return
 	}
 	if w := in.policy.DedupWindow; w > 0 {
@@ -363,9 +384,7 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 		n := min(w, min(t.ringLen, dedupSlots))
 		for i := 1; i <= n; i++ {
 			if t.ring[(t.ringPos-i+dedupSlots)%dedupSlots] == key {
-				if sn := in.suppressed.Add(1); sn&(obs.SyncBatch-1) == 0 {
-					obs.SyncCounter(in.suppressedC, sn, &in.pushedSuppressed)
-				}
+				t.suppress()
 				return
 			}
 		}
@@ -375,10 +394,19 @@ func (t *Thread) notify(addr, size uint64, isWrite bool) {
 			t.ringLen++
 		}
 	}
-	if dn := in.delivered.Add(1); dn&(obs.SyncBatch-1) == 0 {
-		obs.SyncCounter(in.deliveredC, dn, &in.pushedDelivered)
+	if t.delivered++; t.delivered == obs.SyncBatch {
+		t.delivered = 0
+		obs.SyncCounter(in.deliveredC, in.delivered.Add(obs.SyncBatch), &in.pushedDelivered)
 	}
 	in.sink.HandleAccess(t.id, addr, size, isWrite)
+}
+
+// suppress counts one event dropped by policy or dedup.
+func (t *Thread) suppress() {
+	if t.suppressed++; t.suppressed == obs.SyncBatch {
+		t.suppressed = 0
+		obs.SyncCounter(t.in.suppressedC, t.in.suppressed.Add(obs.SyncBatch), &t.in.pushedSuppressed)
+	}
 }
 
 // check validates an access against the heap bounds. In strict mode (the

@@ -1,9 +1,11 @@
 package instr
 
 import (
+	"sync"
 	"testing"
 
 	"predator/internal/mem"
+	"predator/internal/obs"
 )
 
 // recorder is a Sink capturing events.
@@ -297,3 +299,60 @@ func BenchmarkStore64Native(b *testing.B) {
 type nopSink struct{}
 
 func (nopSink) HandleAccess(int, uint64, uint64, bool) {}
+
+// discard is a Sink that drops every event; unlike recorder, any number of
+// goroutines may deliver to it.
+type discard struct{}
+
+func (discard) HandleAccess(int, uint64, uint64, bool) {}
+
+// TestCountsPerThread: concurrent threads count delivered and suppressed
+// events in their own state and publish them in batches, as they do elided
+// ones. Before the flush the registry lags by less than obs.SyncBatch per
+// thread; once the workers have joined, Delivered, Suppressed and the
+// flushed registry counters are exact.
+func TestCountsPerThread(t *testing.T) {
+	h, err := mem.NewHeap(mem.Config{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(h, discard{}, Policy{WritesOnly: true})
+	reg := obs.NewRegistry()
+	in.Observe(obs.New(reg, nil))
+	addr, err := h.Alloc(0, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var want uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		n := 3*obs.SyncBatch + 17*w + 5
+		want += uint64(n)
+		th := in.NewThread("w")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			word := addr + uint64(w)*8
+			for i := 0; i < n; i++ {
+				th.Store64(word, uint64(i)) // delivered
+				th.Load64(word)             // suppressed: writes only
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range []string{"predator_events_delivered_total", "predator_events_suppressed_total"} {
+		if got := uint64(reg.Snapshot()[name]); got > want || want-got >= workers*obs.SyncBatch {
+			t.Errorf("%s before flush = %d, want within %d below %d", name, got, workers*obs.SyncBatch, want)
+		}
+	}
+	if d, s := in.Delivered(), in.Suppressed(); d != want || s != want {
+		t.Errorf("Delivered = %d, Suppressed = %d, want %d each", d, s, want)
+	}
+	in.FlushMetrics()
+	for _, name := range []string{"predator_events_delivered_total", "predator_events_suppressed_total"} {
+		if got := uint64(reg.Snapshot()[name]); got != want {
+			t.Errorf("%s after flush = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -48,8 +48,9 @@ type Source interface {
 	HotLines(n int) []core.LineSnapshot
 	// Provisional builds a side-effect-free report of current findings.
 	Provisional() *report.Report
-	// Stats snapshots runtime counters.
-	Stats() core.Stats
+	// LiveStats snapshots runtime counters beside the running workers:
+	// access and write totals lag by less than obs.SyncBatch per thread.
+	LiveStats() core.Stats
 }
 
 // TimelineSource is the optional Source extension behind /timeline.
@@ -235,7 +236,7 @@ func (s *Server) handleHotLines(r *http.Request, buf *bytes.Buffer) (string, err
 		UnixMilli: time.Now().UnixMilli(),
 		Requested: n,
 		Count:     len(lines),
-		Stats:     statsJSON(src.Stats()),
+		Stats:     statsJSON(src.LiveStats()),
 		Lines:     lines,
 	}
 	// The elided counter lives in the instrumentation front-end, not

@@ -293,7 +293,7 @@ type plainSource struct{ rt *core.Runtime }
 
 func (p plainSource) HotLines(n int) []core.LineSnapshot { return p.rt.HotLines(n) }
 func (p plainSource) Provisional() *report.Report        { return p.rt.Provisional() }
-func (p plainSource) Stats() core.Stats                  { return p.rt.Stats() }
+func (p plainSource) LiveStats() core.Stats              { return p.rt.LiveStats() }
 
 // TestConcurrentScrapeDuringDetection exercises every endpoint while worker
 // goroutines hammer the runtime — the contract the race detector checks.
@@ -348,7 +348,7 @@ type panicSource struct{}
 
 func (panicSource) HotLines(int) []core.LineSnapshot { panic("introspection exploded") }
 func (panicSource) Provisional() *report.Report      { panic("report exploded") }
-func (panicSource) Stats() core.Stats                { panic("stats exploded") }
+func (panicSource) LiveStats() core.Stats            { panic("stats exploded") }
 
 // TestPanickingEndpointQuarantines: a panicking handler 500s, quarantines
 // to 503 after the panic budget, and leaves sibling endpoints serving.

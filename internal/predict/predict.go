@@ -413,9 +413,26 @@ type lineWords struct {
 	members [][]*VTrack     // members[w]: the virtual lines overlapping word w
 }
 
+// search returns the position of physical line index l in t.lines, or
+// where it would be inserted, and whether it is there. It is a plain
+// lower-bound loop rather than slices.BinarySearch, whose generic call the
+// compiler does not inline into Route.
+func (t *routeTable) search(l uint64) (int, bool) {
+	lo, hi := 0, len(t.lines)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.lines[m] < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.lines) && t.lines[lo] == l
+}
+
 // at returns the virtual lines overlapping physical line index l.
 func (t *routeTable) at(l uint64) []*VTrack {
-	if i, ok := slices.BinarySearch(t.lines, l); ok {
+	if i, ok := t.search(l); ok {
 		return t.tracks[i]
 	}
 	return nil
@@ -434,7 +451,7 @@ func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry
 		all:    append(slices.Clip(t.all), v),
 	}
 	for l := first; l <= last; l++ {
-		i, ok := slices.BinarySearch(n.lines, l)
+		i, ok := n.search(l)
 		if !ok {
 			n.lines = slices.Insert(n.lines, i, l)
 			n.tracks = slices.Insert(n.tracks, i, nil)
@@ -546,7 +563,7 @@ func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 	t := r.table.Load()
 	line := r.geom.Index(addr)
 	var tracks []*VTrack
-	if i, ok := slices.BinarySearch(t.lines, line); ok {
+	if i, ok := t.search(line); ok {
 		ws := &t.words[i]
 		if ws.ctr != nil && size == cacheline.WordSize && addr&(cacheline.WordSize-1) == 0 {
 			w := r.geom.WordIndex(addr)
@@ -709,7 +726,7 @@ func (r *Registry) SnapshotsOverlapping(start, end uint64) []VSnapshot {
 	}
 	t := r.table.Load()
 	last := r.geom.Index(end - 1)
-	i, _ := slices.BinarySearch(t.lines, r.geom.Index(start))
+	i, _ := t.search(r.geom.Index(start))
 	var out []VSnapshot
 	seen := make(map[*VTrack]bool)
 	for ; i < len(t.lines) && t.lines[i] <= last; i++ {

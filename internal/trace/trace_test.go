@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -364,6 +365,68 @@ func TestRecordReplayParity(t *testing.T) {
 			if !reflect.DeepEqual(lo, ro) {
 				t.Errorf("finding %d object %d diverges:\n live:   %+v\n replay: %+v", i, j, lo, ro)
 			}
+		}
+	}
+}
+
+// TestReplayCountsEveryAccess: a replay delivers every access on the
+// driving goroutine, so its Stats are exact: Accesses equals the trace's
+// read and write events and Writes its write events. The hand-written
+// trace mixes tids the runtime gives count slots (0–2) with tids past the
+// slot table's cap, which it counts on its shared totals, and leaves every
+// tid a count that is not a multiple of the publish batch.
+func TestReplayCountsEveryAccess(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testHeader().HeapBase
+	if err := w.WriteEvent(Event{Op: OpAlloc, TID: 0, Addr: base, Size: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	tids := []int32{0, 1, 2, 1 << 20, math.MaxInt32}
+	for i := 0; i < 3000; i++ {
+		tid := tids[i%len(tids)]
+		op := OpRead
+		if i%3 == 0 {
+			op = OpWrite
+		}
+		if err := w.WriteEvent(Event{Op: op, TID: tid, Addr: base + uint64(i%512)*8, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, trace := range map[string][]byte{"written": buf.Bytes(), "recorded": record(t).Bytes()} {
+		var reads, writes uint64
+		r, err := NewReader(bytes.NewReader(trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			e, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch e.Op {
+			case OpRead:
+				reads++
+			case OpWrite:
+				writes++
+			}
+		}
+		res, err := Replay(bytes.NewReader(trace), replayConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Accesses != reads+writes || res.Stats.Writes != writes {
+			t.Errorf("%s: replay stats accesses=%d writes=%d, want %d and %d (the trace's access events)",
+				name, res.Stats.Accesses, res.Stats.Writes, reads+writes, writes)
 		}
 	}
 }

@@ -208,8 +208,9 @@ func New(opts Options) (*Detector, error) {
 func (d *Detector) Observer() *Observer { return d.obs }
 
 // WriteMetrics writes the observer's metrics in Prometheus text format,
-// flushing batched hot-path counters first so the snapshot is exact. It is a
-// no-op (and returns nil) for unobserved detectors.
+// flushing batched hot-path counters first so the snapshot is exact. It calls
+// Stats, so call it once the threads have joined. It is a no-op (and returns
+// nil) for unobserved detectors.
 func (d *Detector) WriteMetrics(w io.Writer) error {
 	if d.obs == nil {
 		return nil
@@ -284,7 +285,12 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of detector counters, flushing batched hot-path
-// metric pushes so the observer's registry is exact afterwards.
+// metric pushes so the observer's registry is exact afterwards. Each thread
+// counts its accesses in state only its goroutine writes and publishes them
+// in batches, and Stats adds the unpublished remainders: call it once the
+// goroutines that used the detector's Threads have joined the caller (say,
+// after a sync.WaitGroup's Wait). Then Accesses, Writes, Delivered and
+// Suppressed are exact; called while they run, it races with them.
 func (d *Detector) Stats() Stats {
 	d.in.FlushMetrics()
 	hs := d.heap.Stats()
