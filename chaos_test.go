@@ -173,54 +173,6 @@ func TestChaosAllocExhaustion(t *testing.T) {
 	}
 }
 
-// TestChaosGovernorUnderConcurrentPressure runs a concurrent workload that
-// blows through tiny tracked- and virtual-line budgets. The run must finish
-// with accurate degradation accounting and a flagged report.
-func TestChaosGovernorUnderConcurrentPressure(t *testing.T) {
-	cfg := predator.DefaultRuntimeConfig()
-	cfg.TrackingThreshold = 10
-	cfg.ReportThreshold = 50
-	cfg.SampleWindow = 0
-	cfg.MaxTrackedLines = 2
-	cfg.MaxVirtualLines = 1
-	d, err := predator.New(predator.Options{Runtime: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := d.Thread("setup")
-	addr, err := t0.Alloc(64 * 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			th := d.Thread("worker")
-			line := addr + uint64(g)*128
-			for i := 0; i < 3000; i++ {
-				th.Store64(line+uint64(g%2)*8, uint64(i))
-				th.Store64(line+56, uint64(i))
-				th.Store64(line+64, uint64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	st := d.Stats()
-	if st.DegradedLines == 0 {
-		t.Error("budget of 2 survived 8 hot lines without degradation")
-	}
-	if !st.Degraded {
-		t.Error("Stats.Degraded false under exhausted budgets")
-	}
-	rep := d.Report()
-	if !rep.Degraded {
-		t.Error("Report.Degraded false under exhausted budgets")
-	}
-}
-
 // TestChaosNonStrictOutOfHeapStorm drives a concurrent mix of valid and
 // wild accesses through a fault-tolerant detector: every wild access must be
 // absorbed and counted, never panic.

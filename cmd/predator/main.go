@@ -156,10 +156,6 @@ func main() {
 		st.Accesses, st.Writes, st.TrackedLines, st.VirtualLines,
 		st.Invalidations, st.VirtualInvalidations, st.SampledAccesses,
 		res.Elided, time.Since(start).Round(time.Millisecond))
-	if st.Degraded {
-		fmt.Fprintf(banner, "DEGRADED: degraded-lines=%d evictions=%d virtual-rejections=%d (findings flagged in report)\n",
-			st.DegradedLines, st.Evictions, st.VirtualRejections)
-	}
 
 	if *asJSON {
 		raw, err := res.Report.MarshalIndentJSON()

@@ -206,10 +206,6 @@ func doReplay(path string, cfg core.Config, ropts trace.ReplayOptions, budget ui
 		res.Stats.TrackedLines, res.Stats.VirtualLines,
 		res.Stats.Invalidations, res.Stats.VirtualInvalidations, res.Stats.SampledAccesses,
 		res.Elided)
-	if res.Stats.Degraded {
-		fmt.Printf("DEGRADED: degraded-lines=%d evictions=%d virtual-rejections=%d (findings flagged in report)\n",
-			res.Stats.DegradedLines, res.Stats.Evictions, res.Stats.VirtualRejections)
-	}
 	fmt.Println()
 	fs := res.Report.FalseSharing()
 	fmt.Printf("%d false sharing problem(s)\n\n", len(fs))

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"predator/internal/obs"
+	"predator/internal/obs/diag"
 	"predator/internal/obs/topview"
 )
 
@@ -75,7 +76,7 @@ func main() {
 		Width:    cols,
 		Footer:   "[t] dump hottest line timeline   [q] quit",
 		Keys:     keys,
-		OnKey: func(k byte, last *topview.Frame) string {
+		OnKey: func(k byte, last *diag.HotLinesResponse) string {
 			if k == 't' || k == 'T' {
 				return dumpTimeline(httpc, *addr, *tlDir, last)
 			}
@@ -90,7 +91,7 @@ func main() {
 
 // dumpTimeline saves the hottest line's /timeline JSON into dir and returns
 // a status line for the viewer footer.
-func dumpTimeline(client *http.Client, addr, dir string, last *topview.Frame) string {
+func dumpTimeline(client *http.Client, addr, dir string, last *diag.HotLinesResponse) string {
 	if last == nil || last.Count == 0 {
 		return "timeline: no tracked lines yet"
 	}

@@ -26,8 +26,7 @@ type WordHeat struct {
 
 // LineSnapshot is a point-in-time view of one tracked cache line: the
 // paper's §2.4.1 detailed tracking state, §2.4.3 sampling-window position,
-// the governor's degradation status, and any §3 virtual lines attached to
-// the line's span.
+// and any §3 virtual lines attached to the line's span.
 type LineSnapshot struct {
 	Line          uint64 `json:"line"` // dense line index within the heap
 	Addr          uint64 `json:"addr"` // line base address
@@ -37,7 +36,6 @@ type LineSnapshot struct {
 	Recorded      uint64 `json:"recorded"` // post-sampling recorded accesses
 	Invalidations uint64 `json:"invalidations"`
 	ReportWorthy  bool   `json:"report_worthy,omitempty"` // invalidations >= ReportThreshold
-	Degraded      bool   `json:"degraded,omitempty"`      // invalidation-counting-only mode
 
 	// Sampling-window phase (§2.4.3). WindowPos is the 0-based position the
 	// line's next access takes within its window; Recording says whether
@@ -48,9 +46,7 @@ type LineSnapshot struct {
 	WindowBurst uint64 `json:"window_burst,omitempty"`
 	Recording   bool   `json:"recording"`
 
-	// Words is the per-word thread-ownership heatmap (frozen pre-degradation
-	// detail on a degraded line; empty if the line degraded before any
-	// detail accumulated).
+	// Words is the per-word thread-ownership heatmap.
 	Words []WordHeat `json:"words,omitempty"`
 
 	// Virtual lists the §3.4 virtual lines under verification whose spans
@@ -70,7 +66,6 @@ func (rt *Runtime) snapshotLine(line uint64, t *detect.Track) LineSnapshot {
 		Recorded:      t.Recorded(),
 		Invalidations: t.Invalidations(),
 		ReportWorthy:  t.Invalidations() >= rt.cfg.ReportThreshold,
-		Degraded:      t.Degraded(),
 		WindowPos:     pos,
 		WindowLen:     t.SamplerConfig().Window,
 		WindowBurst:   t.SamplerConfig().Burst,

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +30,6 @@ import (
 	"predator/internal/obs/spans"
 	"predator/internal/predict"
 	"predator/internal/report"
-	"predator/internal/resilience"
 	"predator/internal/shadow"
 )
 
@@ -68,19 +68,6 @@ type Config struct {
 	// Prediction enables virtual-line false sharing prediction (§3).
 	// Corresponds to PREDATOR vs PREDATOR-NP in the paper's evaluation.
 	Prediction bool
-	// MaxTrackedLines bounds how many cache lines may hold detailed word
-	// tracking at once — the resource governor's budget for the paper's
-	// §2.4.1 per-line state. 0 (the zero value) means unlimited, the
-	// paper's behavior; any value >= 1 enforces the bound by degrading the
-	// coldest tracked line (fewest invalidations, never a report-worthy
-	// one) to invalidation-counting-only mode when a new line is promoted.
-	// Negative values are rejected by Validate.
-	MaxTrackedLines int
-	// MaxVirtualLines bounds how many virtual lines (§3) the prediction
-	// registry may hold. 0 (the zero value) means unlimited; any value
-	// >= 1 makes the registry refuse further registrations, counting each
-	// rejection. Negative values are rejected by Validate.
-	MaxVirtualLines int
 	// LineSizeFactors selects which larger-line geometries prediction
 	// models; each must be a power of two > 1. Empty means {2}, the
 	// paper's doubled-line case.
@@ -116,24 +103,28 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: line size factor %d must be a power of two > 1", f)
 		}
 	}
-	if c.MaxTrackedLines < 0 {
-		return fmt.Errorf("core: MaxTrackedLines must be 0 (unlimited) or >= 1, got %d", c.MaxTrackedLines)
-	}
-	if c.MaxVirtualLines < 0 {
-		return fmt.Errorf("core: MaxVirtualLines must be 0 (unlimited) or >= 1, got %d", c.MaxVirtualLines)
-	}
 	if c.FlightDepth < FlightDisabled {
 		return fmt.Errorf("core: FlightDepth must be FlightDisabled (-1), 0 (default), or a positive depth, got %d", c.FlightDepth)
 	}
 	return nil
 }
 
-// fuseFactors returns the effective prediction fusion factors.
-func (c Config) fuseFactors() []int {
+// FuseFactors returns the line size factors prediction models: the
+// configured LineSizeFactors, or {2} when none are set.
+func (c Config) FuseFactors() []int {
 	if len(c.LineSizeFactors) == 0 {
 		return []int{2}
 	}
 	return c.LineSizeFactors
+}
+
+// ElideMargin is the keep-out margin, in lines, that static elision needs
+// under this configuration: the largest prediction factor minus one, so an
+// elided access never shares a physical or predicted virtual line with a
+// neighbouring object. It is never negative, even for factors Validate
+// rejects.
+func (c Config) ElideMargin() int {
+	return max(slices.Max(c.FuseFactors()), 1) - 1
 }
 
 // DefaultConfig returns the paper's default configuration with prediction
@@ -191,17 +182,9 @@ type Runtime struct {
 	totalAccesses atomic.Uint64
 	_             [56]byte
 	totalWrites   atomic.Uint64
-
-	// Resource governor (tentpole: graceful degradation). trackBudget is
-	// nil when MaxTrackedLines is unlimited; otherwise every non-degraded
-	// tracked line holds one slot, and promotion past the budget degrades
-	// the coldest line under govMu.
-	trackBudget   *resilience.Budget
-	govMu         sync.Mutex
-	_             [40]byte
-	evictions     atomic.Uint64
-	_             [56]byte
-	degradedLines atomic.Int64
+	// predlint padcheck: obs and self are read on the access path, so they
+	// start the next cache line.
+	_ [56]byte
 
 	// Observability (nil when cfg.Observer is nil; every instrument method
 	// is nil-safe, so the fast path stays branch-light when unobserved).
@@ -211,7 +194,7 @@ type Runtime struct {
 	// predictable branch per access instead of atomic adds.
 	obs            *obs.Observer
 	self           *obs.SelfProfiler // sampled hot-path self-timing; usually nil
-	_              [40]byte
+	_              [48]byte
 	obsInvs        atomic.Uint64 // invalidations seen while observed
 	pushedAccesses atomic.Uint64
 	pushedWrites   atomic.Uint64
@@ -222,9 +205,6 @@ type Runtime struct {
 	promotionsC    *obs.Counter
 	hotPairsC      *obs.Counter
 	trackedG       *obs.Gauge
-	evictionsC     *obs.Counter
-	degradedG      *obs.Gauge
-	degradedModeG  *obs.Gauge
 	predictH       *obs.Histogram
 	reportH        *obs.Histogram
 	lineInvH       *obs.Histogram
@@ -252,12 +232,6 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 		vreg:    predict.NewRegistry(geom, sampler),
 	}
 	rt.slots.Store(&noSlots)
-	if cfg.MaxTrackedLines > 0 {
-		rt.trackBudget = resilience.NewBudget(cfg.MaxTrackedLines)
-	}
-	if cfg.MaxVirtualLines > 0 {
-		rt.vreg.SetBudget(resilience.NewBudget(cfg.MaxVirtualLines))
-	}
 	if cfg.FlightDepth != FlightDisabled {
 		rt.fclock = &flight.Clock{}
 		rt.fdepth = flight.RoundDepth(cfg.FlightDepth)
@@ -280,12 +254,6 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 			"Hot access pairs found by the prediction search.")
 		rt.trackedG = reg.Gauge("predator_tracked_lines",
 			"Cache lines currently under detailed tracking.")
-		rt.evictionsC = reg.Counter("predator_track_evictions_total",
-			"Tracked lines degraded to invalidation-counting-only by the resource governor.")
-		rt.degradedG = reg.Gauge("predator_degraded_lines",
-			"Cache lines currently in invalidation-counting-only (degraded) mode.")
-		rt.degradedModeG = reg.Gauge("predator_degraded_mode",
-			"1 once the runtime has shed any detection detail under resource pressure.")
 		if o.Spans() != nil {
 			// Phase latencies are the durations of the phases' spans.
 			rt.predictH = reg.Histogram("predator_prediction_seconds",
@@ -524,76 +492,8 @@ func (rt *Runtime) installOne(line uint64) *detect.Track {
 	if t == fresh {
 		rt.promotionsC.Inc()
 		rt.trackedG.Add(1)
-		rt.governAdmit(line, fresh)
 	}
 	return t
-}
-
-// governAdmit charges a freshly installed track against the tracked-line
-// budget. When the budget is exhausted it degrades the coldest evictable
-// line to invalidation-counting-only mode to free a slot; if every other
-// line is report-worthy (its invalidations already crossed ReportThreshold —
-// a finding in progress the paper would report), the fresh line itself
-// enters tracking degraded instead. Either way detection continues, with
-// the loss of detail accounted in metrics and Stats.
-func (rt *Runtime) governAdmit(line uint64, fresh *detect.Track) {
-	if rt.trackBudget == nil {
-		return
-	}
-	if rt.trackBudget.Acquire() {
-		return
-	}
-	rt.govMu.Lock()
-	defer rt.govMu.Unlock()
-	// Concurrent promotions race for freed slots outside govMu, so keep
-	// evicting until this line holds one. The loop terminates: each pass
-	// either acquires or permanently degrades one line.
-	for !rt.trackBudget.Acquire() {
-		victim := rt.coldestEvictable(line)
-		if victim == nil {
-			fresh.Degrade()
-			rt.noteDegraded(false)
-			return
-		}
-		victim.Degrade()
-		rt.noteDegraded(true)
-		rt.trackBudget.Release()
-	}
-}
-
-// coldestEvictable picks the governor's eviction victim: the non-degraded
-// tracked line (other than the one being admitted) with the fewest
-// invalidations, breaking ties by total accesses. Lines at or above
-// ReportThreshold are never evicted — they are findings in progress. It
-// returns nil when no line is evictable.
-func (rt *Runtime) coldestEvictable(exclude uint64) (victim *detect.Track) {
-	rt.sh.ForEachTracked(func(line uint64, t *detect.Track) {
-		if line == exclude || t.Degraded() {
-			return
-		}
-		inv := t.Invalidations()
-		if inv >= rt.cfg.ReportThreshold {
-			return
-		}
-		if victim == nil || inv < victim.Invalidations() ||
-			(inv == victim.Invalidations() && t.Accesses() < victim.Accesses()) {
-			victim = t
-		}
-	})
-	return victim
-}
-
-// noteDegraded accounts one line's degradation in metrics: an evicted cold
-// line, or (evicted false) a fresh line that entered tracking degraded.
-func (rt *Runtime) noteDegraded(evicted bool) {
-	rt.degradedLines.Add(1)
-	rt.trackedG.Add(-1)
-	rt.degradedG.Add(1)
-	rt.degradedModeG.Set(1)
-	if evicted {
-		rt.evictions.Add(1)
-		rt.evictionsC.Inc()
-	}
 }
 
 // runPrediction is the §3.3 hot-pair search over the line and its
@@ -609,7 +509,7 @@ func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
 			continue
 		}
 		adjTrack := rt.sh.Track(adj)
-		for _, pair := range predict.FindPairsFused(track, adjTrack, rt.geom, rt.cfg.fuseFactors()) {
+		for _, pair := range predict.FindPairsFused(track, adjTrack, rt.geom, rt.cfg.FuseFactors()) {
 			pairs++
 			rt.hotPairsC.Inc()
 			if rt.vreg.Add(pair) != nil {
@@ -753,7 +653,6 @@ func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 			Writes:        t.Writes(),
 			Invalidations: t.Invalidations(),
 			Words:         words,
-			Degraded:      t.Degraded(),
 			Provenance:    rt.observedProvenance(t),
 		})
 	})
@@ -783,7 +682,6 @@ func (rt *Runtime) collectReport(final bool, sp *spans.Span) *report.Report {
 		})
 	}
 
-	rep.Degraded = rt.degradedLines.Load() > 0 || rt.vreg.Rejected() > 0
 	rep.Rank()
 
 	if id := sp.ID(); !id.IsZero() {
@@ -816,13 +714,6 @@ type Stats struct {
 	Invalidations        uint64 // invalidations observed on tracked physical lines
 	VirtualInvalidations uint64 // invalidations verified on virtual lines
 	SampledAccesses      uint64 // accesses recorded in detail (post-sampling)
-
-	// Resource-governor accounting. TrackedLines above counts every
-	// installed track, including degraded ones.
-	DegradedLines     int    // lines degraded to invalidation-counting-only
-	Evictions         uint64 // lines degraded to admit a newer line
-	VirtualRejections uint64 // virtual lines refused by MaxVirtualLines
-	Degraded          bool   // any detail shed under resource pressure
 }
 
 // Stats returns a snapshot of runtime counters. Invalidation and sampling
@@ -851,9 +742,5 @@ func (rt *Runtime) stats(exact bool) Stats {
 	for _, v := range rt.vreg.Tracks() {
 		s.VirtualInvalidations += v.Invalidations()
 	}
-	s.DegradedLines = int(rt.degradedLines.Load())
-	s.Evictions = rt.evictions.Load()
-	s.VirtualRejections = rt.vreg.Rejected()
-	s.Degraded = s.DegradedLines > 0 || s.VirtualRejections > 0
 	return s
 }

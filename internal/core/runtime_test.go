@@ -694,13 +694,23 @@ func TestQuadrupledLinePrediction(t *testing.T) {
 
 func TestLineSizeFactorValidation(t *testing.T) {
 	h, _ := mem.NewHeap(mem.Config{Size: 1 << 20})
-	cfg := testConfig()
-	cfg.LineSizeFactors = []int{3}
-	if _, err := NewRuntime(h, cfg); err == nil {
-		t.Error("factor 3 accepted")
-	}
-	cfg.LineSizeFactors = []int{1}
-	if _, err := NewRuntime(h, cfg); err == nil {
-		t.Error("factor 1 accepted")
+	for _, tc := range []struct {
+		factors []int
+		valid   bool
+		margin  int // ElideMargin: the largest factor minus one
+	}{
+		{nil, true, 1}, // the zero config predicts doubled lines only
+		{[]int{2, 4}, true, 3},
+		{[]int{3}, false, 2},
+		{[]int{1}, false, 0},
+	} {
+		cfg := testConfig()
+		cfg.LineSizeFactors = tc.factors
+		if _, err := NewRuntime(h, cfg); (err == nil) != tc.valid {
+			t.Errorf("factors %v: NewRuntime error %v, want valid=%v", tc.factors, err, tc.valid)
+		}
+		if got := cfg.ElideMargin(); got != tc.margin {
+			t.Errorf("factors %v: ElideMargin %d, want %d", tc.factors, got, tc.margin)
+		}
 	}
 }

@@ -25,8 +25,6 @@ type FlightLine struct {
 	Accesses      uint64          `json:"accesses"`
 	Recorded      uint64          `json:"recorded"`
 	Invalidations uint64          `json:"invalidations"`
-	Degraded      bool            `json:"degraded,omitempty"`
-	Salvaged      bool            `json:"salvaged,omitempty"` // records frozen at degradation time
 	FlaggedClock  uint64          `json:"flagged_clock,omitempty"`
 	Window        uint64          `json:"window,omitempty"` // sampling window of the flagging access
 	Records       []flight.Record `json:"records"`
@@ -75,16 +73,13 @@ func (rt *Runtime) FlightDump(n int, line int64) *FlightDump {
 		if line >= 0 && l != uint64(line) {
 			return
 		}
-		recs, salvaged := t.FlightRecords()
 		fl := FlightLine{
 			Line:          l,
 			Base:          t.LineBase(),
 			Accesses:      t.Accesses(),
 			Recorded:      t.Recorded(),
 			Invalidations: t.Invalidations(),
-			Degraded:      t.Degraded(),
-			Salvaged:      salvaged,
-			Records:       recs,
+			Records:       t.FlightRecords(),
 		}
 		fl.FlaggedClock, fl.Window, _ = t.FlagInfo()
 		d.Lines = append(d.Lines, fl)
@@ -123,8 +118,7 @@ func (rt *Runtime) FlightDump(n int, line int64) *FlightDump {
 
 // observedProvenance builds the causal record of an observed finding.
 func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
-	recs, salvaged := t.FlightRecords()
-	dg := flight.Digest(recs)
+	dg := flight.Digest(t.FlightRecords())
 	clock, window, flagged := t.FlagInfo()
 	p := &report.Provenance{
 		FlaggedClock: clock,
@@ -133,7 +127,6 @@ func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
 		Threads:      dg.Threads,
 		Switches:     dg.Switches,
 		Records:      dg.Records,
-		Salvaged:     salvaged,
 	}
 	p.Chain = append(p.Chain, fmt.Sprintf(
 		"line promoted to detailed tracking: write count reached TrackingThreshold %d",
@@ -151,10 +144,6 @@ func (rt *Runtime) observedProvenance(t *detect.Track) *report.Provenance {
 		p.Chain = append(p.Chain, fmt.Sprintf(
 			"invalidations %d at or above ReportThreshold %d at report time",
 			t.Invalidations(), rt.cfg.ReportThreshold))
-	}
-	if t.Degraded() {
-		p.Chain = append(p.Chain,
-			"degraded to invalidation-counting-only by the resource governor; recorded tail salvaged at degradation time")
 	}
 	return p
 }

@@ -174,11 +174,7 @@ type Track struct {
 	writes        atomic.Uint64
 	invalidations atomic.Uint64
 
-	// words is nil once the track has been degraded to
-	// invalidation-counting-only mode by the resource governor; frozen then
-	// holds the word detail captured at degradation time so reports can
-	// still classify sharing observed before the line was shed.
-	words atomic.Pointer[[]Word]
+	words []Word // one per word of the line, set in NewTrackObserved
 
 	// Observability (nil when unobserved; set before publication only).
 	// The recorded-access counter is batched: the hot path syncs the
@@ -187,10 +183,6 @@ type Track struct {
 	recordedC *obs.Counter
 	windowsC  *obs.Counter
 	pushedRec atomic.Uint64
-
-	// Degradation state (cold: touched at Degrade/report time only).
-	frozen   atomic.Pointer[[]WordSnapshot]
-	degraded atomic.Bool
 
 	// searched marks that the line's §3.3 hot-pair search has run (see
 	// ClaimSearch). Reset leaves it set.
@@ -206,7 +198,6 @@ type Track struct {
 	reportThreshold uint64
 	flagSeq         atomic.Uint64 // access ordinal n of the flagging access
 	flagClock       atomic.Uint64 // clock tick of the flagging access
-	salvage         atomic.Pointer[[]flight.Record]
 }
 
 // NewTrack creates tracking state for the line whose first address is
@@ -223,10 +214,9 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 		lineBase: lineBase,
 		geom:     geom,
 		sampler:  NewSampler(sampler.Window, sampler.Burst),
+		words:    make([]Word, geom.WordsPerLine()),
 	}
-	words := make([]Word, geom.WordsPerLine())
-	initWords(words)
-	t.words.Store(&words)
+	initWords(t.words)
 	if o != nil {
 		reg := o.Metrics()
 		t.recordedC = reg.Counter("predator_sampled_accesses_total",
@@ -295,14 +285,7 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 		t.markFlagged(tick, n)
 	}
 
-	// Clip the access to this line and update covered words. A degraded
-	// track has no word state: invalidation counting above is all that
-	// remains (the governor's invalidation-counting-only mode).
-	wp := t.words.Load()
-	if wp == nil {
-		return invalidated
-	}
-	words := *wp
+	// Clip the access to this line and update covered words.
 	start, end := addr, addr+size
 	if start < t.lineBase {
 		start = t.lineBase
@@ -316,7 +299,7 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 	wStart, nWords := cacheline.WordsCovered(start, end-start)
 	first := int((wStart - t.lineBase) >> cacheline.WordShift)
 	for i := 0; i < nWords; i++ {
-		words[first+i].record(tid, isWrite)
+		t.words[first+i].record(tid, isWrite)
 	}
 	return invalidated
 }
@@ -388,34 +371,6 @@ func epochPack(tid int, sawWrite bool) uint64 {
 	return e
 }
 
-// Degrade switches the track to invalidation-counting-only mode — the
-// resource governor's graceful degradation (the line gives up the paper's
-// §2.4.1 detailed word tracking but keeps counting invalidations). The word
-// detail gathered so far is frozen so reports can still classify sharing
-// observed before degradation, and the live word state is released.
-// Concurrent recorders holding the old word slice finish their writes into
-// memory that is simply dropped; an access racing the freeze may be missing
-// from the frozen snapshot, which only under-reports pre-degradation detail.
-// Degrading twice is a no-op; degradation survives Reset.
-func (t *Track) Degrade() {
-	if t.degraded.Swap(true) {
-		return
-	}
-	snap := t.Words()
-	t.frozen.Store(&snap)
-	t.words.Store(nil)
-	// Salvage the flight recorder the same way: freeze the ring's contents
-	// so the interleaving evidence survives eviction, then disarm it so the
-	// degraded hot path stops paying for recording.
-	if rec := t.rec.Swap(nil); rec != nil {
-		recs := rec.Snapshot()
-		t.salvage.Store(&recs)
-	}
-}
-
-// Degraded reports whether the track is in invalidation-counting-only mode.
-func (t *Track) Degraded() bool { return t.degraded.Load() }
-
 // ClaimSearch claims the line's one §3.3 hot-pair search: it returns true
 // only for the first caller. The load before the CAS keeps every later
 // caller off the locked instruction. The claim survives Reset, so a freed
@@ -461,21 +416,14 @@ func (t *Track) FlagInfo() (clock, window uint64, flagged bool) {
 	return t.flagClock.Load(), window, true
 }
 
-// FlightRecords returns the track's recorded access tail, oldest first, and
-// whether it came from a salvaged (degradation-frozen) ring rather than a
-// live one. Nil when the track was never armed.
-func (t *Track) FlightRecords() (records []flight.Record, salvaged bool) {
+// FlightRecords returns the track's recorded access tail, oldest first.
+// Nil when the track was never armed.
+func (t *Track) FlightRecords() []flight.Record {
 	if rec := t.rec.Load(); rec != nil {
-		return rec.Snapshot(), false
+		return rec.Snapshot()
 	}
-	if s := t.salvage.Load(); s != nil {
-		return append([]flight.Record(nil), (*s)...), true
-	}
-	return nil, false
+	return nil
 }
-
-// FlightArmed reports whether the track currently holds a live recorder.
-func (t *Track) FlightArmed() bool { return t.rec.Load() != nil }
 
 // WindowPhase reports where the line currently sits in its sampling window
 // (§2.4.3): pos is the 0-based position the line's next access would take
@@ -520,21 +468,10 @@ func (t *Track) WordAddr(i int) uint64 {
 
 // Words returns a snapshot of per-word access information, ascending by
 // word index, including untouched words (Owner == OwnerNone, zero counts).
-// On a degraded track it returns the detail frozen at degradation time.
 func (t *Track) Words() []WordSnapshot {
-	wp := t.words.Load()
-	if wp == nil {
-		if fz := t.frozen.Load(); fz != nil {
-			out := make([]WordSnapshot, len(*fz))
-			copy(out, *fz)
-			return out
-		}
-		return nil
-	}
-	words := *wp
-	out := make([]WordSnapshot, len(words))
-	for i := range words {
-		w := &words[i]
+	out := make([]WordSnapshot, len(t.words))
+	for i := range t.words {
+		w := &t.words[i]
 		out[i] = WordSnapshot{
 			Index:   i,
 			Reads:   w.reads.Load(),
@@ -548,7 +485,7 @@ func (t *Track) Words() []WordSnapshot {
 
 // AverageWordAccesses returns the mean number of recorded accesses per word
 // of the line — the paper's threshold for calling a word's access "hot"
-// (§3.3). A degraded track reports its frozen pre-degradation average.
+// (§3.3).
 func (t *Track) AverageWordAccesses() float64 { return averageAccesses(t.Words()) }
 
 // averageAccesses is the mean access count of a word snapshot.
@@ -578,9 +515,9 @@ func (t *Track) HotWords() []WordSnapshot {
 }
 
 // Reset clears all tracking state (object freed and recycled) except the
-// hot-pair search claim and degradation. The unpushed tail of the
-// recorded-access counter is flushed first, and the push cursor restarts
-// with the recorded count so the registry keeps its lifetime total.
+// hot-pair search claim. The unpushed tail of the recorded-access counter is
+// flushed first, and the push cursor restarts with the recorded count so the
+// registry keeps its lifetime total.
 func (t *Track) Reset() {
 	t.FlushMetrics()
 	t.hist.Reset()
@@ -591,19 +528,15 @@ func (t *Track) Reset() {
 	t.reads.Store(0)
 	t.writes.Store(0)
 	t.invalidations.Store(0)
-	if wp := t.words.Load(); wp != nil {
-		words := *wp
-		for i := range words {
-			words[i].reads.Store(0)
-			words[i].writes.Store(0)
-			words[i].foreign.Store(0)
-			words[i].owner.Store(OwnerNone)
-		}
+	for i := range t.words {
+		w := &t.words[i]
+		w.reads.Store(0)
+		w.writes.Store(0)
+		w.foreign.Store(0)
+		w.owner.Store(OwnerNone)
 	}
-	t.frozen.Store(nil)
 	t.flagSeq.Store(0)
 	t.flagClock.Store(0)
-	t.salvage.Store(nil)
 	// A recycled track gets a fresh ring on the same shared clock: a ring's
 	// slots cannot be zeroed racelessly, but a new ring can be published with
 	// one store.

@@ -412,10 +412,9 @@ func TestFlightDecimation(t *testing.T) {
 		t.Fatalf("%d invalidations and %d plain accesses; the sequence must reach the threshold %d and span strides",
 			invalidations, plain, threshold)
 	}
-	got, salvaged := tr.FlightRecords()
-	if salvaged || !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring holds %d records (salvaged=%v), want %d:\ngot  %+v\nwant %+v",
-			len(got), salvaged, len(want), got, want)
+	if got := tr.FlightRecords(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring holds %d records, want %d:\ngot  %+v\nwant %+v",
+			len(got), len(want), got, want)
 	}
 	clock, _, flagged := tr.FlagInfo()
 	if !flagged || clock != flagClock {

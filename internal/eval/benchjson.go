@@ -34,7 +34,6 @@ type BenchRecord struct {
 	Invalidations  uint64  `json:"invalidations,omitempty"`
 	Findings       int     `json:"findings,omitempty"`
 	FalseSharing   int     `json:"false_sharing,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
 	Elided         uint64  `json:"elided,omitempty"` // accesses skipped by the static elision fast path
 }
 
@@ -105,7 +104,6 @@ func Bench(cfg Config, workloads []string) (*BenchDoc, error) {
 				rec.TrackedLines = st.TrackedLines
 				rec.VirtualLines = st.VirtualLines
 				rec.Invalidations = st.Invalidations
-				rec.Degraded = st.Degraded
 				rec.Elided = last.Elided
 				if last.Report != nil {
 					c := last.Report.Counts()

@@ -5,7 +5,7 @@
 //   - /metrics — the obs registry rendered in Prometheus text format, live.
 //   - /hotlines?n=K — JSON snapshots of the K hottest tracked cache lines
 //     (invalidation counts, per-word thread-ownership heatmaps,
-//     sampling-window phase, degradation status, attached virtual lines).
+//     sampling-window phase, attached virtual lines).
 //   - /findings — a provisional (side-effect-free) report of what the final
 //     Report would currently contain.
 //   - /timeline?line=K — the flight recorders rendered as Chrome
@@ -181,10 +181,6 @@ type StatsJSON struct {
 	Invalidations        uint64 `json:"invalidations"`
 	VirtualInvalidations uint64 `json:"virtual_invalidations"`
 	SampledAccesses      uint64 `json:"sampled_accesses"`
-	DegradedLines        int    `json:"degraded_lines"`
-	Evictions            uint64 `json:"evictions"`
-	VirtualRejections    uint64 `json:"virtual_rejections"`
-	Degraded             bool   `json:"degraded"`
 	Elided               uint64 `json:"elided,omitempty"` // accesses skipped by the static elision fast path
 }
 
@@ -197,10 +193,6 @@ func statsJSON(st core.Stats) StatsJSON {
 		Invalidations:        st.Invalidations,
 		VirtualInvalidations: st.VirtualInvalidations,
 		SampledAccesses:      st.SampledAccesses,
-		DegradedLines:        st.DegradedLines,
-		Evictions:            st.Evictions,
-		VirtualRejections:    st.VirtualRejections,
-		Degraded:             st.Degraded,
 	}
 }
 

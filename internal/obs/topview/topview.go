@@ -15,32 +15,8 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/detect"
+	"predator/internal/obs/diag"
 )
-
-// Stats is the header counter block /hotlines reports (the snake_case JSON
-// diag.StatsJSON serializes to).
-type Stats struct {
-	Accesses      uint64 `json:"accesses"`
-	Writes        uint64 `json:"writes"`
-	TrackedLines  int    `json:"tracked_lines"`
-	VirtualLines  int    `json:"virtual_lines"`
-	Invalidations uint64 `json:"invalidations"`
-	DegradedLines int    `json:"degraded_lines"`
-	Evictions     uint64 `json:"evictions"`
-	Degraded      bool   `json:"degraded"`
-	Elided        uint64 `json:"elided,omitempty"`
-}
-
-// Frame is one polled snapshot, decoded from the /hotlines response. Each
-// line carries the per-word ownership view the heatmap is drawn from.
-type Frame struct {
-	Tool      string              `json:"tool"`
-	UnixMilli int64               `json:"unix_ms"`
-	Requested int                 `json:"requested"`
-	Count     int                 `json:"count"`
-	Stats     Stats               `json:"stats"`
-	Lines     []core.LineSnapshot `json:"lines"`
-}
 
 // Client polls one hot-lines URL.
 type Client struct {
@@ -48,8 +24,9 @@ type Client struct {
 	URL  string // full URL including any query parameters
 }
 
-// Poll fetches and decodes one frame.
-func (c *Client) Poll() (*Frame, error) {
+// Poll fetches and decodes one /hotlines response. Each line carries the
+// per-word ownership view the heatmap is drawn from.
+func (c *Client) Poll() (*diag.HotLinesResponse, error) {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 5 * time.Second}
@@ -63,7 +40,7 @@ func (c *Client) Poll() (*Frame, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("GET %s: %s: %s", c.URL, resp.Status, string(body))
 	}
-	var out Frame
+	var out diag.HotLinesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("GET %s: %v", c.URL, err)
 	}
@@ -108,12 +85,12 @@ type RenderOptions struct {
 }
 
 // Render draws one frame at unlimited width.
-func Render(w io.Writer, r *Frame) {
+func Render(w io.Writer, r *diag.HotLinesResponse) {
 	RenderWith(w, r, RenderOptions{})
 }
 
 // RenderWith draws one frame honoring the options.
-func RenderWith(w io.Writer, r *Frame, opts RenderOptions) {
+func RenderWith(w io.Writer, r *diag.HotLinesResponse, opts RenderOptions) {
 	if opts.Width > 0 {
 		var buf bytes.Buffer
 		renderFrame(&buf, r)
@@ -138,7 +115,7 @@ func clipLine(line string, width int) string {
 	return string(runes[:width-1]) + "…"
 }
 
-func renderFrame(w io.Writer, r *Frame) {
+func renderFrame(w io.Writer, r *diag.HotLinesResponse) {
 	st := r.Stats
 	fmt.Fprintf(w, "predtop — %s  %s\n", r.Tool,
 		time.UnixMilli(r.UnixMilli).Format("15:04:05"))
@@ -146,9 +123,6 @@ func renderFrame(w io.Writer, r *Frame) {
 		st.Accesses, st.Writes, st.TrackedLines, st.VirtualLines, st.Invalidations)
 	if st.Elided > 0 {
 		fmt.Fprintf(w, " elided=%d", st.Elided)
-	}
-	if st.Degraded {
-		fmt.Fprintf(w, "  DEGRADED(lines=%d evictions=%d)", st.DegradedLines, st.Evictions)
 	}
 	fmt.Fprint(w, "\n\n") // end the header, then one blank line
 	if r.Count == 0 {
@@ -167,15 +141,9 @@ func renderFrame(w io.Writer, r *Frame) {
 			}
 			window = fmt.Sprintf("%d/%d %s", ln.WindowPos, ln.WindowLen, phase)
 		}
-		flags := ""
+		flags := "-"
 		if ln.ReportWorthy {
-			flags += "R"
-		}
-		if ln.Degraded {
-			flags += "D"
-		}
-		if flags == "" {
-			flags = "-"
+			flags = "R"
 		}
 		fmt.Fprintf(w, "%-4d %#-12x %10d %10d %9d %8d %-8s %-4s %4d  %s\n",
 			i+1, ln.Addr, ln.Invalidations, ln.Accesses, ln.Writes, ln.Recorded,
@@ -201,7 +169,7 @@ type LoopOptions struct {
 	Keys <-chan byte
 	// OnKey handles non-quit keystrokes against the last frame, returning a
 	// one-shot status line rendered under the next frame.
-	OnKey func(k byte, last *Frame) (status string)
+	OnKey func(k byte, last *diag.HotLinesResponse) (status string)
 }
 
 // Loop runs predtop's poll/render cycle until quit. It returns an error only when
@@ -211,7 +179,7 @@ func Loop(c *Client, opts LoopOptions) error {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
-	var last *Frame
+	var last *diag.HotLinesResponse
 	var status string // one-shot message rendered under the next frame
 	failures := 0
 	frames := 0

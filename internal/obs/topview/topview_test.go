@@ -10,6 +10,7 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/detect"
+	"predator/internal/obs/diag"
 )
 
 func TestHeatmap(t *testing.T) {
@@ -27,10 +28,10 @@ func TestHeatmap(t *testing.T) {
 	}
 }
 
-func diagFrame() *Frame {
-	return &Frame{
+func diagFrame() *diag.HotLinesResponse {
+	return &diag.HotLinesResponse{
 		Tool: "predator", UnixMilli: 1754600000000, Requested: 10, Count: 1,
-		Stats: Stats{Accesses: 1000, Writes: 400, TrackedLines: 3, Invalidations: 70},
+		Stats: diag.StatsJSON{Accesses: 1000, Writes: 400, TrackedLines: 3, Invalidations: 70},
 		Lines: []core.LineSnapshot{{
 			Addr: 0x1040, Accesses: 800, Writes: 300, Recorded: 640, Invalidations: 70,
 			ReportWorthy: true, WindowPos: 3, WindowLen: 20, Recording: true,
@@ -40,15 +41,12 @@ func diagFrame() *Frame {
 }
 
 func TestRenderDiagShape(t *testing.T) {
-	fr := diagFrame()
-	fr.Stats.Degraded, fr.Stats.DegradedLines, fr.Stats.Evictions = true, 1, 2
 	var buf bytes.Buffer
-	Render(&buf, fr)
+	Render(&buf, diagFrame())
 	out := buf.String()
 	for _, want := range []string{
 		"predtop — predator",
 		"accesses=1000 writes=400 tracked=3 virtual=0 invalidations=70",
-		"DEGRADED(lines=1 evictions=2)",
 		"WORD OWNERS",
 		"0x1040",
 		"3/20 rec", // sampling-window phase
@@ -66,7 +64,7 @@ func TestRenderDiagShape(t *testing.T) {
 
 func TestRenderEmptyFrame(t *testing.T) {
 	var buf bytes.Buffer
-	Render(&buf, &Frame{Tool: "predator"})
+	Render(&buf, &diag.HotLinesResponse{Tool: "predator"})
 	if !strings.Contains(buf.String(), "(no tracked lines yet)") {
 		t.Fatalf("empty frame render:\n%s", buf.String())
 	}

@@ -25,7 +25,6 @@ import (
 	"predator/internal/histtable"
 	"predator/internal/obs"
 	"predator/internal/obs/flight"
-	"predator/internal/resilience"
 )
 
 // Kind says which environmental change a prediction models.
@@ -360,11 +359,6 @@ type Registry struct {
 	mu    sync.Mutex                 // serializes Add, folds and plans
 	spans map[cacheline.Virtual]bool // dedupe: one VTrack per span+kind
 
-	// budget, when non-nil, bounds how many virtual lines may be
-	// registered (core.Config.MaxVirtualLines); rejections are counted in
-	// the budget and in predator_virtual_line_rejections_total.
-	budget *resilience.Budget
-
 	// Flight recording for verification tracks (set before concurrent use;
 	// fclock nil when disabled).
 	fclock  *flight.Clock
@@ -372,10 +366,8 @@ type Registry struct {
 	freport uint64 // report threshold captured into each VTrack
 
 	// Observability (nil when unobserved; set before concurrent use).
-	vlinesG       *obs.Gauge
-	vinvC         *obs.Counter
-	vrejectC      *obs.Counter
-	degradedModeG *obs.Gauge
+	vlinesG *obs.Gauge
+	vinvC   *obs.Counter
 }
 
 // maxWordLimit caps a word's limit so that its count, which racing
@@ -479,9 +471,8 @@ func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
-// registered virtual lines, a verified-invalidation counter and a counter of
-// budget rejections. Call before the registry sees concurrent traffic; a nil
-// observer is a no-op.
+// registered virtual lines and a verified-invalidation counter. Call before
+// the registry sees concurrent traffic; a nil observer is a no-op.
 func (r *Registry) SetObserver(o *obs.Observer) {
 	if o == nil {
 		return
@@ -491,15 +482,7 @@ func (r *Registry) SetObserver(o *obs.Observer) {
 		"Virtual cache lines registered for prediction verification.")
 	r.vinvC = reg.Counter("predator_virtual_invalidations_total",
 		"Verified cache invalidations on virtual lines.")
-	r.vrejectC = reg.Counter("predator_virtual_line_rejections_total",
-		"Virtual line registrations refused by the MaxVirtualLines budget.")
-	r.degradedModeG = reg.Gauge("predator_degraded_mode",
-		"1 once the runtime has shed any detection detail under resource pressure.")
 }
-
-// SetBudget bounds virtual-line registrations (nil removes the bound). Call
-// before the registry sees concurrent traffic.
-func (r *Registry) SetBudget(b *resilience.Budget) { r.budget = b }
 
 // SetFlight arms flight recording on virtual lines registered from now on:
 // each new VTrack gets a ring of depth slots on the shared clock and flags
@@ -511,29 +494,13 @@ func (r *Registry) SetFlight(clock *flight.Clock, depth int, reportThreshold uin
 	r.freport = reportThreshold
 }
 
-// Rejected returns how many registrations the budget has refused.
-func (r *Registry) Rejected() uint64 {
-	if r.budget == nil {
-		return 0
-	}
-	return r.budget.Rejected()
-}
-
 // Add registers a verification track for the pair unless an identical span
-// is already tracked or the virtual-line budget is exhausted. It returns the
-// registered track, or nil when the span was a duplicate or the registration
-// was refused (the refusal is counted, and sets the degraded-mode gauge — the
-// §3 prediction detail this run gives up under resource pressure).
+// is already tracked. It returns the registered track, or nil when the span
+// was a duplicate.
 func (r *Registry) Add(pair HotPair) *VTrack {
 	r.mu.Lock()
 	if r.spans[pair.Span] {
 		r.mu.Unlock()
-		return nil
-	}
-	if r.budget != nil && !r.budget.Acquire() {
-		r.mu.Unlock()
-		r.vrejectC.Inc()
-		r.degradedModeG.Set(1)
 		return nil
 	}
 	r.spans[pair.Span] = true

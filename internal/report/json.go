@@ -15,7 +15,6 @@ import (
 // JSONReport is the machine-readable form of a Report.
 type JSONReport struct {
 	LineSize uint64        `json:"line_size"`
-	Degraded bool          `json:"degraded,omitempty"`
 	Findings []JSONFinding `json:"findings"`
 	Problems []JSONProblem `json:"problems"`
 }
@@ -31,7 +30,6 @@ type JSONFinding struct {
 	Writes        uint64     `json:"writes"`
 	Invalidations uint64     `json:"invalidations"`
 	Estimate      uint64     `json:"estimate,omitempty"`
-	Degraded      bool       `json:"degraded,omitempty"`
 	Object        *JSONObj   `json:"object,omitempty"`
 	Words         []JSONWord `json:"words,omitempty"`
 
@@ -48,7 +46,6 @@ type JSONProvenance struct {
 	Threads      []int    `json:"threads,omitempty"`
 	Switches     int      `json:"switches,omitempty"`
 	Records      int      `json:"records,omitempty"`
-	Salvaged     bool     `json:"salvaged,omitempty"`
 	SpanID       string   `json:"span_id,omitempty"`
 	Chain        []string `json:"chain"`
 }
@@ -83,7 +80,7 @@ type JSONProblem struct {
 
 // ToJSON converts the report into its machine-readable mirror.
 func (r *Report) ToJSON() JSONReport {
-	out := JSONReport{LineSize: r.Geometry.Size(), Degraded: r.Degraded}
+	out := JSONReport{LineSize: r.Geometry.Size()}
 	for _, f := range r.Findings {
 		jf := JSONFinding{
 			Source:        f.Source.String(),
@@ -95,7 +92,6 @@ func (r *Report) ToJSON() JSONReport {
 			Writes:        f.Writes,
 			Invalidations: f.Invalidations,
 			Estimate:      f.Estimate,
-			Degraded:      f.Degraded,
 		}
 		if p := f.Provenance; p != nil {
 			jf.Provenance = &JSONProvenance{
@@ -105,7 +101,6 @@ func (r *Report) ToJSON() JSONReport {
 				Threads:      p.Threads,
 				Switches:     p.Switches,
 				Records:      p.Records,
-				Salvaged:     p.Salvaged,
 				SpanID:       p.SpanID,
 				Chain:        p.Chain,
 			}

@@ -136,12 +136,6 @@ type Finding struct {
 
 	Words []WordDetail
 
-	// Degraded marks a finding whose line was shed to invalidation-
-	// counting-only mode by the resource governor: invalidation totals are
-	// complete, but word detail (and hence the sharing classification) is
-	// frozen at the moment the line was degraded.
-	Degraded bool
-
 	// Provenance explains how the finding came to be flagged. Always
 	// populated by the core runtime (the causal Chain is never empty);
 	// clock-based fields are zero when flight recording was disabled.
@@ -160,7 +154,6 @@ type Provenance struct {
 	Threads      []int  // threads present in the recorded tail
 	Switches     int    // adjacent-record thread hand-offs in the tail
 	Records      int    // records in the tail
-	Salvaged     bool   // tail came from a ring frozen at degradation time
 	SpanID       string // span ID of the enclosing report span ("" when span tracing was off): links the finding to its agent-side trace waterfall
 	Chain        []string
 }
@@ -200,9 +193,6 @@ func (f *Finding) Format(geom cacheline.Geometry) string {
 	fmt.Fprintf(&b, "Source: %s.\n", f.Source)
 	fmt.Fprintf(&b, "Number of accesses: %d; Number of invalidations: %d; Number of writes: %d.\n",
 		f.Accesses, f.Invalidations, f.Writes)
-	if f.Degraded {
-		b.WriteString("NOTE: line was degraded to invalidation-counting-only under resource pressure; word detail is frozen at degradation time.\n")
-	}
 	if f.Source != SourceObserved {
 		fmt.Fprintf(&b, "Virtual line %s; estimated interleaved invalidations: %d.\n",
 			f.Span, f.Estimate)
@@ -213,12 +203,8 @@ func (f *Finding) Format(geom cacheline.Geometry) string {
 			fmt.Fprintf(&b, "\t%s\n", step)
 		}
 		if p.Records > 0 {
-			fmt.Fprintf(&b, "\tinterleaving: %d recorded accesses by threads %v, %d hand-offs, digest %s",
+			fmt.Fprintf(&b, "\tinterleaving: %d recorded accesses by threads %v, %d hand-offs, digest %s\n",
 				p.Records, p.Threads, p.Switches, p.Digest)
-			if p.Salvaged {
-				b.WriteString(" (salvaged at degradation)")
-			}
-			b.WriteByte('\n')
 		}
 	}
 	if known && !obj.Global && !obj.Callsite.IsZero() {
@@ -250,12 +236,6 @@ func (f *Finding) Format(geom cacheline.Geometry) string {
 type Report struct {
 	Geometry cacheline.Geometry
 	Findings []Finding // all findings, ranked by invalidations descending
-
-	// Degraded is true when any detection detail was shed under resource
-	// pressure during the run that produced this report (degraded lines or
-	// refused virtual-line registrations): findings are sound but possibly
-	// incomplete.
-	Degraded bool
 }
 
 // Rank sorts findings by invalidations descending (the paper ranks reported
@@ -334,15 +314,9 @@ func (r *Report) Predicted() []Finding {
 // String renders the whole report.
 func (r *Report) String() string {
 	if len(r.Findings) == 0 {
-		if r.Degraded {
-			return "No false sharing problems detected.\nNOTE: detection detail was shed under resource pressure; the absence of findings is not conclusive.\n"
-		}
 		return "No false sharing problems detected.\n"
 	}
 	var b strings.Builder
-	if r.Degraded {
-		b.WriteString("NOTE: this report was produced under degraded tracking (resource governor active); findings are sound but possibly incomplete.\n\n")
-	}
 	for i := range r.Findings {
 		if i > 0 {
 			b.WriteString("\n")

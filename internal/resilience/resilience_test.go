@@ -73,77 +73,6 @@ func TestGuardQuarantineCallbackOnce(t *testing.T) {
 	}
 }
 
-func TestBudgetLimits(t *testing.T) {
-	b := NewBudget(2)
-	if !b.Acquire() || !b.Acquire() {
-		t.Fatal("budget refused within limit")
-	}
-	if b.Acquire() {
-		t.Fatal("budget admitted past limit")
-	}
-	if b.Rejected() != 1 {
-		t.Errorf("Rejected = %d, want 1", b.Rejected())
-	}
-	b.Release()
-	if !b.Acquire() {
-		t.Error("budget refused after Release")
-	}
-	if b.Used() != 2 {
-		t.Errorf("Used = %d, want 2", b.Used())
-	}
-	if !b.Bounded() || b.Limit() != 2 {
-		t.Errorf("Bounded=%v Limit=%d", b.Bounded(), b.Limit())
-	}
-}
-
-func TestBudgetUnlimited(t *testing.T) {
-	b := NewBudget(0)
-	for i := 0; i < 1000; i++ {
-		if !b.Acquire() {
-			t.Fatal("unlimited budget refused")
-		}
-	}
-	if b.Bounded() || b.Rejected() != 0 {
-		t.Errorf("Bounded=%v Rejected=%d", b.Bounded(), b.Rejected())
-	}
-}
-
-// TestChaosBudgetConcurrent hammers one bounded budget from many goroutines
-// and checks the slot accounting never over-admits (run under -race).
-func TestChaosBudgetConcurrent(t *testing.T) {
-	const limit, workers, rounds = 8, 16, 500
-	b := NewBudget(limit)
-	var wg sync.WaitGroup
-	var held atomic.Int64
-	var maxSeen atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if b.Acquire() {
-					h := held.Add(1)
-					for {
-						m := maxSeen.Load()
-						if h <= m || maxSeen.CompareAndSwap(m, h) {
-							break
-						}
-					}
-					held.Add(-1)
-					b.Release()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if maxSeen.Load() > limit {
-		t.Errorf("held %d slots concurrently, limit %d", maxSeen.Load(), limit)
-	}
-	if b.Used() != 0 {
-		t.Errorf("Used = %d after all released", b.Used())
-	}
-}
-
 // TestChaosSinkQuarantineConcurrent drives one guard around an
 // always-panicking component from many goroutines: no panic may escape,
 // quarantine must engage with exactly one notice, and the component must

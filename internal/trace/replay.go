@@ -102,7 +102,7 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 	if opts.Elide != nil {
 		esp := tracer.Start("elide.bind", opts.Span)
 		esp.SetAttr("entries", uint64(len(opts.Elide.Entries)))
-		binder, err = elide.NewBinder(opts.Elide, h.Geometry(), elideMargin(cfg))
+		binder, err = elide.NewBinder(opts.Elide, h.Geometry(), cfg.ElideMargin())
 		if err != nil {
 			esp.End()
 			return nil, fmt.Errorf("trace: elision manifest: %w", err)
@@ -110,7 +110,7 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 		// Attach before any OpAlloc/OpGlobal streams in: the heap hooks
 		// bind manifest entries to objects as the replay rebuilds them.
 		binder.Attach(h)
-		esp.SetAttr("margin_lines", uint64(elideMargin(cfg)))
+		esp.SetAttr("margin_lines", uint64(cfg.ElideMargin()))
 		esp.End()
 	}
 	rt, err := core.NewRuntime(h, cfg)
@@ -191,24 +191,6 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 		res.Salvage = &stats
 	}
 	return res, nil
-}
-
-// elideMargin sizes the elision binder's keep-out margin in lines: the
-// largest prediction fusion factor minus one (mirroring the harness), so an
-// elided access can never share a physical or predicted virtual line with a
-// neighboring object.
-func elideMargin(cfg core.Config) int {
-	factors := cfg.LineSizeFactors
-	if len(factors) == 0 {
-		factors = []int{2}
-	}
-	max := 1
-	for _, f := range factors {
-		if f > max {
-			max = f
-		}
-	}
-	return max - 1
 }
 
 // Mirror subscribes a trace Writer to the heap's lifecycle hooks so every

@@ -38,11 +38,13 @@ func run(t *testing.T, name string, opts harness.Options) *harness.Result {
 }
 
 func TestWWShareDetectedAndFixed(t *testing.T) {
-	buggy := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: true})
+	// Deterministic: free-scheduled workers can run back to back on a
+	// loaded host and never interleave on the shared line.
+	buggy := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: true, Deterministic: true})
 	if !buggy.FalseSharingFound() {
 		t.Error("write-write false sharing not detected")
 	}
-	fixed := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: false})
+	fixed := run(t, "ww_share", harness.Options{Mode: harness.ModePredict, Buggy: false, Deterministic: true})
 	if fixed.FalseSharingFound() {
 		t.Errorf("padded variant flagged:\n%s", fixed.Report.String())
 	}

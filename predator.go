@@ -275,13 +275,7 @@ type Stats struct {
 	Suppressed           uint64 // events dropped by instrumentation policy
 	HeapLive             uint64 // live simulated-heap bytes
 	HeapUsed             uint64 // carved simulated-heap bytes
-
-	// Resilience accounting.
-	Faults            uint64 // out-of-heap accesses absorbed (non-strict mode)
-	DegradedLines     int    // tracked lines degraded to invalidation-counting-only
-	Evictions         uint64 // lines degraded to admit newer lines
-	VirtualRejections uint64 // virtual lines refused by MaxVirtualLines
-	Degraded          bool   // any detection detail shed under resource pressure
+	Faults               uint64 // out-of-heap accesses absorbed (non-strict mode)
 }
 
 // Stats returns a snapshot of detector counters, flushing batched hot-path
@@ -310,10 +304,6 @@ func (d *Detector) Stats() Stats {
 		s.Invalidations = rs.Invalidations
 		s.VirtualInvalidations = rs.VirtualInvalidations
 		s.SampledAccesses = rs.SampledAccesses
-		s.DegradedLines = rs.DegradedLines
-		s.Evictions = rs.Evictions
-		s.VirtualRejections = rs.VirtualRejections
-		s.Degraded = rs.Degraded
 	}
 	return s
 }
