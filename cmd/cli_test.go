@@ -7,12 +7,15 @@ package cmd_test
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"predator/internal/trace"
 )
 
 // binaries built once for the whole package.
@@ -170,6 +173,10 @@ func TestPredreplayRoundTrip(t *testing.T) {
 		strings.Contains(out, "0 false sharing problem(s)") {
 		t.Errorf("replay lost the sharing:\n%s", out)
 	}
+	// The recording names every thread that accessed or allocated.
+	if threads := recordedThreads(t, tracePath); !strings.Contains(out, "; "+strconv.Itoa(threads)+" threads named") {
+		t.Errorf("replay of a recording with %d threads:\n%s", threads, out)
+	}
 	// Replay with an impossible threshold: clean.
 	out, err = run(t, "predreplay", "-replay", tracePath, "-report-threshold", "99999999")
 	if err != nil {
@@ -177,6 +184,34 @@ func TestPredreplayRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out, "0 false sharing problem(s)") {
 		t.Errorf("threshold ignored on replay:\n%s", out)
+	}
+}
+
+// recordedThreads counts the distinct thread ids of a trace's access and
+// allocation records.
+func recordedThreads(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tids := map[int32]bool{}
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			return len(tids)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Op == trace.OpRead || e.Op == trace.OpWrite || e.Op == trace.OpAlloc {
+			tids[e.TID] = true
+		}
 	}
 }
 

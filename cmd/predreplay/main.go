@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"predator/internal/core"
@@ -134,6 +135,18 @@ func doRecord(workload, out string, opts harness.Options) error {
 	res, err := harness.ExecuteSimOnHeap(w, opts, h, tw)
 	if err != nil {
 		return err
+	}
+	// Name the threads, so a replay labels its reports and timeline tracks
+	// as the live run does.
+	tids := make([]int, 0, len(res.ThreadNames))
+	for tid := range res.ThreadNames {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	for _, tid := range tids {
+		if err := tw.WriteEvent(trace.Event{Op: trace.OpThread, TID: int32(tid), Name: res.ThreadNames[tid]}); err != nil {
+			return err
+		}
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -129,12 +129,11 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 	rt.SetSpan(dsp)
 	defer dsp.End() // idempotent: the success path ends it before the report
 	res := &ReplayResult{Threads: make(map[int]string)}
+	e := &tr.ev // decoded in place by each advance
 	for {
-		e, err := tr.Next()
-		if err == io.EOF {
+		if err := tr.advance(); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, err
 		}
 		res.Events++

@@ -38,15 +38,13 @@ const maxStringLen = 1 << 20
 
 // maxRecordSize bounds one encoded record: opcode, up to three varints, a
 // string length varint, and the string bytes. The reader's buffer is sized
-// so any whole record can be inspected with Peek before it is consumed.
+// so any whole record fits in its window before it is consumed.
 const maxRecordSize = 1 + 3*binary.MaxVarintLen64 + binary.MaxVarintLen64 + maxStringLen
 
-// peekQuantum is the first-attempt peek per record. Every record except a
-// string-bearing one (OpGlobal/OpThread with a long name) fits well inside
-// it; those few escalate to a maxRecordSize peek. Peeking the full
-// maxRecordSize on every record would force bufio to slide-and-refill its
-// megabyte buffer per record — quadratic over the trace.
-const peekQuantum = 512
+// maxAccessRecord bounds one encoded read or write record: the opcode and
+// three varints. The reader refills its window only when fewer bytes than
+// this are left, so the short branch of decode never runs out of bytes.
+const maxAccessRecord = 1 + 3*binary.MaxVarintLen64
 
 // Op is an event discriminator.
 type Op uint8
@@ -279,9 +277,19 @@ func (s *SalvageStats) String() string {
 	return msg
 }
 
-// Reader streams events back from a trace.
+// Reader streams events back from a trace. It decodes each record straight
+// from a window over its buffered bytes into one current-record slot, so a
+// record costs no copy until Next returns the slot.
 type Reader struct {
-	r       *bufio.Reader
+	r *bufio.Reader
+	// win is the window peeked from r; win[pos:] is not yet decoded. The
+	// bytes before pos are discarded from r at the next refill.
+	win []byte
+	pos int
+	// rerr is the error of the last refill's Peek: nil when the window
+	// filled r's buffer, io.EOF when it reached the end of the input.
+	rerr    error
+	ev      Event // the current record
 	hdr     Header
 	off     int64  // byte offset of the next undecoded byte
 	index   uint64 // events decoded so far
@@ -376,65 +384,55 @@ func (r *Reader) Stats() SalvageStats { return r.stats }
 // salvage mode it is skipped (accounted in Stats) and Next keeps scanning
 // for the next decodable record.
 func (r *Reader) Next() (Event, error) {
+	if err := r.advance(); err != nil {
+		return Event{}, err
+	}
+	return r.ev, nil
+}
+
+// advance decodes the next event into r.ev, with Next's errors. Replay
+// reads r.ev in place.
+func (r *Reader) advance() error {
 	if r.salvage {
 		return r.nextSalvage()
 	}
-	buf, perr := r.r.Peek(peekQuantum)
-	if len(buf) == 0 {
-		if perr == nil || perr == io.EOF {
-			return Event{}, io.EOF
-		}
-		return Event{}, perr
+	if len(r.win)-r.pos < maxAccessRecord && !r.refill() {
+		return r.endErr()
 	}
-	e, n, err := decodeEvent(buf)
-	if err == errShort && len(buf) == peekQuantum {
-		// The record may simply span past the quantum: retry with the
-		// full-record peek before concluding truncation.
-		buf, perr = r.r.Peek(maxRecordSize)
-		e, n, err = decodeEvent(buf)
-	}
+	n, err := r.decode()
 	if err == errShort {
-		if perr != nil && perr != io.EOF {
-			return Event{}, perr
+		if r.rerr != nil && r.rerr != io.EOF {
+			return r.rerr
 		}
-		return Event{}, &DecodeError{Offset: r.off, Index: r.index,
-			Err: fmt.Errorf("%w: %v", ErrTruncated, io.ErrUnexpectedEOF)}
+		err = fmt.Errorf("%w: %v", ErrTruncated, io.ErrUnexpectedEOF)
 	}
 	if err != nil {
-		return Event{}, &DecodeError{Offset: r.off, Index: r.index, Err: err}
+		return &DecodeError{Offset: r.off, Index: r.index, Err: err}
 	}
 	r.commit(n)
-	return e, nil
+	return nil
 }
 
 // nextSalvage scans for the next decodable record, skipping and accounting
 // undecodable bytes.
-func (r *Reader) nextSalvage() (Event, error) {
+func (r *Reader) nextSalvage() error {
 	inRegion := false
 	for {
-		buf, perr := r.r.Peek(peekQuantum)
-		if len(buf) == 0 {
-			if perr != nil && perr != io.EOF {
-				return Event{}, perr
-			}
+		if len(r.win)-r.pos < maxAccessRecord && !r.refill() {
 			if r.tailSkip {
 				r.stats.TruncatedTail = true
 			}
-			return Event{}, io.EOF
+			return r.endErr()
 		}
-		e, n, err := decodeEvent(buf)
-		if err == errShort && len(buf) == peekQuantum {
-			buf, perr = r.r.Peek(maxRecordSize)
-			e, n, err = decodeEvent(buf)
-		}
+		n, err := r.decode()
 		if err == nil {
 			r.commit(n)
 			r.stats.Events++
 			r.tailSkip = false
-			return e, nil
+			return nil
 		}
-		if err == errShort && perr != nil && perr != io.EOF {
-			return Event{}, perr
+		if err == errShort && r.rerr != nil && r.rerr != io.EOF {
+			return r.rerr
 		}
 		// Malformed, or truncated at EOF: open (or extend) a corrupt
 		// region and resynchronize one byte at a time.
@@ -449,18 +447,64 @@ func (r *Reader) nextSalvage() (Event, error) {
 					fmt.Sprintf("byte offset %d (event index %d): %v", r.off, r.index, err))
 			}
 		}
-		if _, derr := r.r.Discard(1); derr != nil {
-			return Event{}, derr
-		}
+		r.pos++
 		r.off++
 		r.stats.SkippedBytes++
 		r.tailSkip = true
 	}
 }
 
+// refill discards the decoded bytes of the window and peeks as many bytes
+// as r buffers, so the window starts at the next undecoded byte. It reports
+// whether any byte is left.
+func (r *Reader) refill() bool {
+	_, _ = r.r.Discard(r.pos) // cannot fail: the bytes were peeked
+	r.pos = 0
+	r.win, r.rerr = r.r.Peek(maxRecordSize)
+	return len(r.win) > 0
+}
+
+// endErr is the error for an input with no byte left: io.EOF, or the error
+// that stopped reading it.
+func (r *Reader) endErr() error {
+	if r.rerr == nil {
+		return io.EOF
+	}
+	return r.rerr
+}
+
+// decode decodes the record at the head of the non-empty window into r.ev
+// and returns its encoded length, errShort when the input ends inside it, or
+// a malformed-record error. A read or write record with a whole access
+// record's bytes in the window takes the short branch; every other record,
+// and any it cannot decode, takes decodeEvent, refilling once when the
+// record may reach past the window.
+func (r *Reader) decode() (int, error) {
+	w := r.win[r.pos:]
+	if op := Op(w[0]); (op == OpRead || op == OpWrite) && len(w) >= maxAccessRecord {
+		if tid, i := binary.Uvarint(w[1:]); i > 0 && tid <= math.MaxInt32 {
+			i++
+			if addr, j := binary.Uvarint(w[i:]); j > 0 {
+				i += j
+				if size, k := binary.Uvarint(w[i:]); k > 0 {
+					r.ev = Event{Op: op, TID: int32(tid), Addr: addr, Size: size}
+					return i + k, nil
+				}
+			}
+		}
+	}
+	e, n, err := decodeEvent(w)
+	if err == errShort && r.pos > 0 {
+		r.refill()
+		e, n, err = decodeEvent(r.win)
+	}
+	r.ev = e
+	return n, err
+}
+
 // commit consumes n decoded bytes.
 func (r *Reader) commit(n int) {
-	_, _ = r.r.Discard(n)
+	r.pos += n
 	r.off += int64(n)
 	r.index++
 }

@@ -66,6 +66,88 @@ func TestRoundTripAllOps(t *testing.T) {
 	}
 }
 
+// TestRoundTripAcrossRefills decodes a trace of about three reader buffers
+// whose records cross every refill of the reader's window. Every access
+// record is 26 bytes: a 5-byte thread id and a 10-byte address and size.
+// One OpGlobal, with a name 4 bytes short of maxStringLen, starts partway
+// through the first window, so its record crosses that window's end; it
+// ends 21 bytes before the end of the window it then starts, and a window of
+// whole access records ends 11 bytes into one, so an access record crosses
+// every later refill.
+func TestRoundTripAcrossRefills(t *testing.T) {
+	const before, after = 20000, 60000
+	global := Event{Op: OpGlobal, Addr: 1<<63 | 0x40, Size: 1<<63 | 64, Name: strings.Repeat("g", maxStringLen-4)}
+	event := func(i int) Event {
+		if i == before {
+			return global
+		}
+		op := OpRead
+		if i%2 == 1 {
+			op = OpWrite
+		}
+		return Event{Op: op, TID: math.MaxInt32 - int32(i%7), Addr: 1<<63 | uint64(i)*8, Size: 1<<63 | uint64(i%64+1)}
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < before+1+after; i++ {
+		if err := w.WriteEvent(event(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if len(raw) <= 2*maxRecordSize {
+		t.Fatalf("trace of %d bytes fits in two reader buffers", len(raw))
+	}
+
+	for _, open := range []func(io.Reader) (*Reader, error){NewReader, NewSalvageReader} {
+		r, err := open(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events, refills, straddles int
+		winStart, winLen := int64(-1), 0
+		for ; ; events++ {
+			start := r.Offset()
+			e, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("event %d: %v", events, err)
+			}
+			if want := event(events); e != want {
+				t.Fatalf("event %d = {%d %d %#x %#x name of %d bytes}, want {%d %d %#x %#x name of %d bytes}",
+					events, e.Op, e.TID, e.Addr, e.Size, len(e.Name), want.Op, want.TID, want.Addr, want.Size, len(want.Name))
+			}
+			// A refill moves the window's start to the record it decodes.
+			if ws := r.Offset() - int64(r.pos); ws != winStart {
+				if winLen == maxRecordSize {
+					refills++
+					if end := winStart + int64(winLen); start < end && r.Offset() > end {
+						straddles++
+					}
+				}
+				winStart, winLen = ws, len(r.win)
+			}
+		}
+		if events != before+1+after || r.Offset() != int64(len(raw)) {
+			t.Errorf("decoded %d events to offset %d, want %d to %d", events, r.Offset(), before+1+after, len(raw))
+		}
+		if refills < 3 || straddles != refills {
+			t.Errorf("a record crossed %d of %d refills of a full window", straddles, refills)
+		}
+		if s := r.Stats(); !s.Clean() {
+			t.Errorf("clean trace reported damage: %+v", s)
+		}
+	}
+}
+
 func TestBadMagic(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("NOTATRACEFILE-------")); err != ErrBadMagic {
 		t.Errorf("err = %v, want ErrBadMagic", err)

@@ -23,11 +23,14 @@ func run(t *testing.T, name string, buggy bool) *harness.Result {
 		t.Fatalf("workload %q not registered", name)
 	}
 	cfg := evalConfig
+	// Deterministic: free-scheduled workers can run back to back on a
+	// loaded host and never interleave on the shared line.
 	res, err := harness.Execute(w, harness.Options{
-		Mode:    harness.ModePredict,
-		Threads: 8,
-		Buggy:   buggy,
-		Runtime: &cfg,
+		Mode:          harness.ModePredict,
+		Threads:       8,
+		Buggy:         buggy,
+		Deterministic: true,
+		Runtime:       &cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
