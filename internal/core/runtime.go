@@ -232,6 +232,7 @@ func NewRuntime(h *mem.Heap, cfg Config) (*Runtime, error) {
 		vreg:    predict.NewRegistry(geom, sampler),
 	}
 	rt.slots.Store(&noSlots)
+	rt.vreg.SetTracks(rt.trackAt)
 	if cfg.FlightDepth != FlightDisabled {
 		rt.fclock = &flight.Clock{}
 		rt.fdepth = flight.RoundDepth(cfg.FlightDepth)
@@ -418,15 +419,19 @@ func (rt *Runtime) dispatch(tid int, addr, size uint64, isWrite bool) {
 		last = first
 	}
 	for line := first; line <= last; line++ {
-		rt.handleLine(tid, line, addr, size, isWrite)
+		if rt.handleLine(tid, line, addr, size, isWrite) {
+			return
+		}
 	}
 	if rt.cfg.Prediction && rt.vactive.Load() {
 		rt.vreg.Route(tid, addr, size, isWrite)
 	}
 }
 
-// handleLine applies one access to one covered line.
-func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite bool) {
+// handleLine applies one access to one covered line. It reports whether the
+// access was counted on its word's counter, which counts it for the line's
+// virtual lines too, so that it needs no routing.
+func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite bool) (counted bool) {
 	// One chunk lookup reads both the line's track and its write count; a
 	// nil slot is a line nothing in its chunk has written yet.
 	slot := rt.sh.Lookup(line)
@@ -446,7 +451,21 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 		}
 		track = rt.installTrack(line)
 	}
-	if track.HandleAccess(tid, addr, size, isWrite) {
+	// A line that carries virtual lines counts an aligned word access to an
+	// open word with the word's one add, for itself and its virtual lines
+	// (DESIGN §5). Past the word's limit the registry decides the access on
+	// the line's folded ordinal, and routing decides it for the virtual lines.
+	var invalidated bool
+	if c := rt.wordCounter(track, addr, size); c == nil {
+		invalidated = track.HandleAccess(tid, addr, size, isWrite)
+	} else if open, within := c.Count(); !open {
+		invalidated = track.HandleAccess(tid, addr, size, isWrite)
+	} else if within {
+		return true
+	} else {
+		invalidated = rt.vreg.Settle(track, rt.geom.WordIndex(addr), tid, addr, size, isWrite)
+	}
+	if invalidated {
 		if rt.obs != nil {
 			ti := rt.obsInvs.Add(1)
 			if ti&(obs.SyncBatch-1) == 0 {
@@ -459,6 +478,26 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 		track.ClaimSearch() {
 		rt.runPrediction(line, track)
 	}
+	return false
+}
+
+// wordCounter returns the counter of the word an aligned 8-byte access
+// covers, or nil when the access is not one or the line counts every access
+// itself.
+func (rt *Runtime) wordCounter(track *detect.Track, addr, size uint64) *detect.WordCounter {
+	if size != cacheline.WordSize || addr&(cacheline.WordSize-1) != 0 {
+		return nil
+	}
+	return track.Counter(rt.geom.WordIndex(addr))
+}
+
+// trackAt returns the track of the line at lineBase, nil when untracked.
+func (rt *Runtime) trackAt(lineBase uint64) *detect.Track {
+	line, ok := rt.mapping.Index(lineBase)
+	if !ok {
+		return nil
+	}
+	return rt.sh.Track(line)
 }
 
 // installTrack creates detailed tracking for a line, and — when prediction
@@ -548,7 +587,7 @@ func (rt *Runtime) onFree(start, size uint64) {
 		}
 		rt.sh.ResetWrites(line)
 		if t := rt.sh.Track(line); t != nil {
-			t.Reset()
+			rt.vreg.ResetTrack(t)
 		}
 	}
 }

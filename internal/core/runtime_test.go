@@ -588,6 +588,37 @@ func BenchmarkHandleAccessHotLine(b *testing.B) {
 	}
 }
 
+// BenchmarkHandleAccessPredicted is the access path of a line that carries
+// virtual lines, under the paper's sampling: two threads write one word each
+// on either side of a line boundary until prediction registers the centered
+// line over the pair and the doubled line over both lines, then one op is
+// one aligned word read or write by either thread, as linear_regression's
+// workers make them.
+func BenchmarkHandleAccessPredicted(b *testing.B) {
+	h := mem.MustNewHeap(mem.Config{Size: 64 << 20})
+	rt, _ := NewRuntime(h, DefaultConfig())
+	obj, _ := h.AllocWithOffset(0, 256, 0, 0)
+	lo := (obj + 127) &^ 127 // the first line of a doubled line
+	access := func(i int) {
+		tid := i & 1
+		rt.HandleAccess(tid, lo+56+8*uint64(tid), 8, i&2 == 0)
+	}
+	for i := 0; i < 4000; i++ {
+		access(i)
+	}
+	kinds := map[string]bool{}
+	for _, v := range rt.vreg.Tracks() {
+		kinds[v.Pair.Kind.String()] = true
+	}
+	if len(kinds) != 2 {
+		b.Fatalf("virtual line kinds %v, want a centered and a doubled line", kinds)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access(i)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	h, _ := mem.NewHeap(mem.Config{Size: 1 << 20})
 	bad := []Config{

@@ -159,7 +159,9 @@ func (s Sampler) Rate() float64 {
 type Track struct {
 	lineBase uint64 // first address of the tracked line
 	geom     cacheline.Geometry
-	sampler  Sampler
+	// Ordinal holds the sampling policy and the line's access count, which
+	// counts on the line's word counters once the line carries virtual lines.
+	Ordinal
 
 	hist histtable.Table
 	// epoch is the SmartTrack-style same-owner fast path over hist: while a
@@ -168,7 +170,6 @@ type Track struct {
 	// loop. Encoding: 0 = no access yet; epochClosed = a second thread
 	// appeared and hist is live; otherwise (owner+1)<<2 | sawWrite<<1.
 	epoch         atomic.Uint64
-	accesses      atomic.Uint64 // all accesses (sampled or not)
 	recorded      atomic.Uint64 // accesses recorded in detail
 	reads         atomic.Uint64
 	writes        atomic.Uint64
@@ -213,7 +214,7 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 	t := &Track{
 		lineBase: lineBase,
 		geom:     geom,
-		sampler:  NewSampler(sampler.Window, sampler.Burst),
+		Ordinal:  NewOrdinal(sampler),
 		words:    make([]Word, geom.WordsPerLine()),
 	}
 	initWords(t.words)
@@ -230,16 +231,61 @@ func NewTrackObserved(lineBase uint64, geom cacheline.Geometry, sampler Sampler,
 // LineBase returns the tracked line's first address.
 func (t *Track) LineBase() uint64 { return t.lineBase }
 
+// Counter returns the counter of the line's i-th word, or nil while the line
+// counts every access itself.
+func (t *Track) Counter(i int) *WordCounter {
+	if wc := t.wc.Load(); wc != nil {
+		return wc.ctr[i]
+	}
+	return nil
+}
+
 // HandleAccess records one access to [addr, addr+size) by thread tid. Only
 // the bytes falling inside this line are attributed here; the core runtime
 // splits spanning accesses across lines. It reports whether the access
 // caused a cache invalidation on this line.
 func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalidated bool) {
-	n := t.accesses.Add(1)
+	n, fold := t.Count()
+	if n == 0 {
+		// The line counts on its words, so n is not its ordinal: within the
+		// allowance the access is certain to be unrecorded, and past it the
+		// registry decides it on the folded ordinal.
+		if fold {
+			return t.wc.Load().folder.Settle(t, -1, tid, addr, size, isWrite)
+		}
+		return false
+	}
 	if t.sampler.Window > 0 {
-		// One phase computation serves both the sampling decision and the
-		// window-open count, keeping the observed path free of a second
-		// remainder per access.
+		// One phase computation serves the sampling decision, the
+		// window-open count and the burst's end, keeping the observed path
+		// free of a second remainder per access.
+		phase := t.sampler.phase(n)
+		if phase == 0 {
+			t.windowsC.Inc()
+		}
+		if phase >= t.sampler.Burst {
+			return false
+		}
+		if phase+1 == t.sampler.Burst {
+			if wc := t.wc.Load(); wc != nil {
+				// The access ends the line's burst: once it is decided,
+				// the registry can reopen the line's words.
+				invalidated = t.record(n, tid, addr, size, isWrite)
+				wc.folder.Settle(nil, -1, tid, addr, size, isWrite)
+				return invalidated
+			}
+		}
+	}
+	return t.record(n, tid, addr, size, isWrite)
+}
+
+// Decide decides an access that a fold has already counted on the line's
+// ordinal: it records the access when sampling records the folded ordinal,
+// and reports whether it invalidated the line. The registry calls it under
+// its mutex (see Folder).
+func (t *Track) Decide(tid int, addr, size uint64, isWrite bool) bool {
+	n := t.accesses.Load()
+	if t.sampler.Window > 0 {
 		phase := t.sampler.phase(n)
 		if phase == 0 {
 			t.windowsC.Inc()
@@ -248,6 +294,13 @@ func (t *Track) HandleAccess(tid int, addr, size uint64, isWrite bool) (invalida
 			return false
 		}
 	}
+	return t.record(n, tid, addr, size, isWrite)
+}
+
+// record applies the n-th access, which sampling records, to the history
+// table, the flight recorder and the words it covers, and reports whether it
+// invalidated the line.
+func (t *Track) record(n uint64, tid int, addr, size uint64, isWrite bool) (invalidated bool) {
 	r := t.recorded.Add(1)
 	if r&(obs.SyncBatch-1) == 0 {
 		obs.SyncCounter(t.recordedC, r, &t.pushedRec)
@@ -434,7 +487,7 @@ func (t *Track) WindowPhase() (pos uint64, recording bool) {
 	if t.sampler.Window == 0 {
 		return 0, true
 	}
-	pos = t.sampler.phase(t.accesses.Load() + 1)
+	pos = t.sampler.phase(t.Accesses() + 1)
 	return pos, pos < t.sampler.Burst
 }
 
@@ -450,9 +503,6 @@ func (t *Track) FlushMetrics() {
 
 // Invalidations returns the line's observed cache invalidation count.
 func (t *Track) Invalidations() uint64 { return t.invalidations.Load() }
-
-// Accesses returns the total number of accesses seen (sampled or not).
-func (t *Track) Accesses() uint64 { return t.accesses.Load() }
 
 // Recorded returns the number of accesses recorded in detail.
 func (t *Track) Recorded() uint64 { return t.recorded.Load() }
@@ -515,14 +565,18 @@ func (t *Track) HotWords() []WordSnapshot {
 }
 
 // Reset clears all tracking state (object freed and recycled) except the
-// hot-pair search claim. The unpushed tail of the recorded-access counter is
-// flushed first, and the push cursor restarts with the recorded count so the
-// registry keeps its lifetime total.
+// hot-pair search claim and the line's place in word counting. The unpushed
+// tail of the recorded-access counter is flushed first, and the push cursor
+// restarts with the recorded count so the registry keeps its lifetime total.
+// A track that joined word counting is reset through
+// predict.Registry.ResetTrack, which folds its words' pending counts first
+// and replans them after.
 func (t *Track) Reset() {
 	t.FlushMetrics()
 	t.hist.Reset()
 	t.epoch.Store(0)
 	t.accesses.Store(0)
+	t.allow.Store(0)
 	t.recorded.Store(0)
 	t.pushedRec.Store(0)
 	t.reads.Store(0)

@@ -75,6 +75,8 @@ type Policy struct {
 }
 
 // allows reports whether the policy passes an event from the given scope.
+// Each list's length is tested before it is indexed: a lookup in an empty
+// or nil map is still a call, paid on every delivered access.
 func (p *Policy) allows(scope string, isWrite bool) bool {
 	if p.WritesOnly && !isWrite {
 		return false
@@ -82,7 +84,7 @@ func (p *Policy) allows(scope string, isWrite bool) bool {
 	if len(p.Whitelist) > 0 && !p.Whitelist[scope] {
 		return false
 	}
-	if p.Blacklist[scope] {
+	if len(p.Blacklist) > 0 && p.Blacklist[scope] {
 		return false
 	}
 	return true

@@ -190,23 +190,13 @@ func FindPairsFused(cur, adj *detect.Track, geom cacheline.Geometry, fuseFactors
 type VTrack struct {
 	Pair HotPair // provenance: the hot pair that created this track
 
-	sampler detect.Sampler
-	// accesses counts the accesses offered directly plus every word count
-	// folded in; Accesses adds the counts still pending on the words.
-	accesses atomic.Uint64
-	// allow, while the line's words may count, is the direct count up to
-	// which an access is certain to be unrecorded; 0 while the line counts
-	// exactly and decides every access on its own ordinal.
-	allow         atomic.Uint64
+	// Ordinal holds the sampling policy and the virtual line's access count,
+	// which counts on the counters of the 8-byte words the span overlaps
+	// when sampling skips accesses.
+	detect.Ordinal
 	recorded      atomic.Uint64
 	invalidations atomic.Uint64
 	hist          histtable.Table
-
-	// words are the counters of the 8-byte words the span overlaps (nil
-	// when sampling records everything). runEnd, share and wordSum are the
-	// plan's working values, written only under the registry mutex.
-	words                  []*atomic.Uint64
-	runEnd, share, wordSum uint64
 
 	// Flight recording (set at registration, before the track is routed to;
 	// nil/zero when flight is disabled). regClock is the access-clock tick
@@ -225,7 +215,7 @@ type VTrack struct {
 // verified invalidation counts scale with the sampling rate exactly like
 // observed ones.
 func newVTrack(pair HotPair, sampler detect.Sampler) *VTrack {
-	return &VTrack{Pair: pair, sampler: detect.NewSampler(sampler.Window, sampler.Burst)}
+	return &VTrack{Pair: pair, Ordinal: detect.NewOrdinal(sampler)}
 }
 
 // Span returns the tracked virtual line.
@@ -241,24 +231,19 @@ func (r *Registry) offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool)
 		if !v.Pair.Span.Overlaps(addr, size) {
 			continue
 		}
-		n := v.accesses.Add(1)
-		if allow := v.allow.Load(); allow != 0 {
-			// The words may hold pending accesses, so n is not the
-			// ordinal; within the allowance it is certain to be
-			// unrecorded, and past it the access is decided on the
-			// folded ordinal.
-			if n > allow {
-				inv += r.settle(vs[k:k+1], tid, addr, isWrite)
-			}
+		n, fold := v.Count()
+		if fold {
+			_, settled := r.settle(nil, -1, vs[k:k+1], tid, addr, size, isWrite)
+			inv += settled
 			continue
 		}
-		if v.sampler.ShouldRecord(n) {
+		if n != 0 && v.Records(n) {
 			if v.record(tid, addr, isWrite) {
 				inv++
 			}
-			if v.sampler.SkipAfter(n) != 0 {
+			if v.EndsBurst(n) {
 				// The line leaves its burst: reopen its words.
-				r.settle(nil, tid, addr, isWrite)
+				r.settle(nil, -1, nil, tid, addr, size, isWrite)
 			}
 		}
 	}
@@ -314,18 +299,6 @@ func (v *VTrack) FlightRecords() []flight.Record { return v.rec.Snapshot() }
 // Invalidations returns verified invalidations on the virtual line.
 func (v *VTrack) Invalidations() uint64 { return v.invalidations.Load() }
 
-// Accesses returns the number of accesses that hit the virtual line: those
-// counted directly or folded in, plus those still pending on its words.
-// Exact once routing has stopped; while it runs, it can miss a count that a
-// concurrent fold is moving from a word to the line.
-func (v *VTrack) Accesses() uint64 {
-	n := v.accesses.Load()
-	for _, w := range v.words {
-		n += uint64(uint32(w.Load()))
-	}
-	return n
-}
-
 // Recorded returns how many of those accesses were recorded in detail.
 func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 
@@ -339,20 +312,26 @@ func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 // Each virtual line needs every access's ordinal only to decide whether
 // sampling records it, and most ordinals fall in runs that sampling skips.
 // So each physical line with virtual lines also has one counter per 8-byte
-// word, packed as limit<<32 | count: an aligned word access to a word with
-// an open limit makes one add on that word, which sits on a line only the
-// word's writers touch, and returns. A fold, under mu, moves each word's
-// count into the ordinals of the virtual lines the word overlaps; a plan
-// then gives each word the smallest share among its lines of half of their
-// current unrecorded runs, and leaves the rest of each line's run as its
-// allowance for accesses counted directly. Both run on Add, when a word
-// passes its limit, when a direct count passes a line's allowance, and when
-// a line leaves its burst, and whenever an access is decided the ordinals
-// it is decided on are exact, so a serial access stream is sampled exactly
-// as with one add per virtual line.
+// word (detect.WordCounter): an aligned word access to an open word makes
+// one add on that word, which sits on a line only the word's writers touch,
+// and returns. The line's tracked physical line, when SetTracks names it,
+// joins the counters as one more member, and core's access path then counts
+// such an access for the physical line and its virtual lines with that one
+// add. A fold, under mu, moves each word's count into the ordinals
+// (detect.Ordinal) of the lines counting on it; a plan then gives each word
+// the smallest share among its lines of half of their current unrecorded
+// runs, and leaves the rest of each line's run as its allowance for
+// accesses counted directly. Both run on Add, when a word passes its limit,
+// when a direct count passes a line's allowance, and when a line leaves its
+// burst, and whenever an access is decided the ordinals it is decided on are
+// exact, so a serial access stream is sampled exactly as with one add per
+// line.
 type Registry struct {
 	geom    cacheline.Geometry
 	sampler detect.Sampler
+	// track returns the tracked line at a line base, nil when untracked or
+	// when SetTracks was not called.
+	track func(lineBase uint64) *detect.Track
 
 	table atomic.Pointer[routeTable] // never nil; replaced whole by Add
 
@@ -369,10 +348,6 @@ type Registry struct {
 	vlinesG *obs.Gauge
 	vinvC   *obs.Counter
 }
-
-// maxWordLimit caps a word's limit so that its count, which racing
-// accesses may carry a little past the limit, stays within 32 bits.
-const maxWordLimit = 1 << 31
 
 // NewRegistry creates an empty registry under the given physical geometry;
 // registered virtual lines sample with the given policy.
@@ -391,18 +366,24 @@ func NewRegistry(geom cacheline.Geometry, sampler detect.Sampler) *Registry {
 // table keep a consistent view. Only the word counters are shared between
 // versions.
 type routeTable struct {
-	lines  []uint64    // physical line indices with virtual lines, ascending
-	tracks [][]*VTrack // tracks[i]: the virtual lines overlapping lines[i]
-	words  []lineWords // words[i]: lines[i]'s word counters
-	all    []*VTrack   // every virtual line in registration order
+	lines  []uint64          // physical line indices with virtual lines, ascending
+	tracks [][]*VTrack       // tracks[i]: the virtual lines overlapping lines[i]
+	words  []lineWords       // words[i]: lines[i]'s word counters
+	all    []*VTrack         // every virtual line in registration order
+	ords   []*detect.Ordinal // every ordinal counting on words: joined tracks' and virtual lines'
 }
 
 // lineWords is one physical line's word counters, allocated once and kept
-// by every later table, and this table's list of the virtual lines each word
-// overlaps. ctr is nil when sampling records every access.
+// by every later table, and this table's lists of the lines counting on
+// each word. ctr is nil when sampling records every access.
 type lineWords struct {
-	ctr     []atomic.Uint64 // limit<<32 | count per word
-	members [][]*VTrack     // members[w]: the virtual lines overlapping word w
+	ctr     []detect.WordCounter
+	members [][]*VTrack         // members[w]: the virtual lines overlapping word w
+	ords    [][]*detect.Ordinal // ords[w]: the ordinals counting on word w, the joined track's first
+	// joined is set when the line's track counts on the words: core's access
+	// path then makes the words' adds, and routes only the accesses it did
+	// not count on a word.
+	joined bool
 }
 
 // search returns the position of physical line index l in t.lines, or
@@ -431,17 +412,19 @@ func (t *routeTable) at(l uint64) []*VTrack {
 }
 
 // with returns a new table holding t's virtual lines plus v, indexed under
-// lines first..last, and appends the counters of the words v overlaps to
-// v.words. A line new to the index gets word counters when counting is set.
-// t is left unchanged: the slices it holds are cloned or shared, never
-// written.
-func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry, counting bool) *routeTable {
+// lines first..last, with v counting on the words it overlaps. A line new to
+// the index gets word counters when counting is set, and its track, when r
+// names one, joins them. t is left unchanged: the slices it holds are cloned
+// or shared, never written.
+func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting bool) *routeTable {
 	n := &routeTable{
 		lines:  slices.Clone(t.lines),
 		tracks: slices.Clone(t.tracks),
 		words:  slices.Clone(t.words),
 		all:    append(slices.Clip(t.all), v),
+		ords:   slices.Clip(t.ords),
 	}
+	var vctr []*detect.WordCounter
 	for l := first; l <= last; l++ {
 		i, ok := n.search(l)
 		if !ok {
@@ -449,8 +432,10 @@ func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry
 			n.tracks = slices.Insert(n.tracks, i, nil)
 			var ws lineWords
 			if counting {
-				ws.ctr = make([]atomic.Uint64, geom.WordsPerLine())
-				ws.members = make([][]*VTrack, geom.WordsPerLine())
+				ws = r.newLineWords(l)
+				if ws.joined {
+					n.ords = append(n.ords, ws.ords[0][0])
+				}
 			}
 			n.words = slices.Insert(n.words, i, ws)
 		}
@@ -460,14 +445,49 @@ func (t *routeTable) with(v *VTrack, first, last uint64, geom cacheline.Geometry
 			continue
 		}
 		ws.members = slices.Clone(ws.members)
+		ws.ords = slices.Clone(ws.ords)
 		for w := range ws.ctr {
-			if v.Pair.Span.Overlaps(geom.Base(l)+uint64(w)*cacheline.WordSize, cacheline.WordSize) {
+			if v.Pair.Span.Overlaps(r.geom.Base(l)+uint64(w)*cacheline.WordSize, cacheline.WordSize) {
 				ws.members[w] = append(slices.Clip(ws.members[w]), v)
-				v.words = append(v.words, &ws.ctr[w])
+				ws.ords[w] = append(slices.Clip(ws.ords[w]), &v.Ordinal)
+				vctr = append(vctr, &ws.ctr[w])
 			}
 		}
 	}
+	if vctr != nil {
+		v.Join(vctr, nil)
+		n.ords = append(n.ords, &v.Ordinal)
+	}
 	return n
+}
+
+// newLineWords allocates the word counters of physical line index l, all
+// closed, and lets the line's track join them. Only a line new to the index
+// gets counters, so a track joins before any access counts on its words
+// for the virtual lines alone; a track installed later, which only a fused
+// line larger than two lines can cover, keeps counting alone.
+func (r *Registry) newLineWords(l uint64) lineWords {
+	n := r.geom.WordsPerLine()
+	ws := lineWords{
+		ctr:     make([]detect.WordCounter, n),
+		members: make([][]*VTrack, n),
+		ords:    make([][]*detect.Ordinal, n),
+	}
+	if r.track == nil {
+		return ws
+	}
+	t := r.track(r.geom.Base(l))
+	if t == nil {
+		return ws
+	}
+	ctr := make([]*detect.WordCounter, n)
+	for w := range ctr {
+		ctr[w] = &ws.ctr[w]
+		ws.ords[w] = []*detect.Ordinal{&t.Ordinal}
+	}
+	t.Join(ctr, r)
+	ws.joined = true
+	return ws
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
@@ -482,6 +502,15 @@ func (r *Registry) SetObserver(o *obs.Observer) {
 		"Virtual cache lines registered for prediction verification.")
 	r.vinvC = reg.Counter("predator_virtual_invalidations_total",
 		"Verified cache invalidations on virtual lines.")
+}
+
+// SetTracks names the tracked physical lines: lookup returns the track of
+// the line at a line base address, or nil. A line that gets word counters
+// then counts on them for its track too (see Registry). Call before the
+// registry sees concurrent traffic; without it, as in perfbench's ledger,
+// every track counts each of its accesses itself.
+func (r *Registry) SetTracks(lookup func(lineBase uint64) *detect.Track) {
+	r.track = lookup
 }
 
 // SetFlight arms flight recording on virtual lines registered from now on:
@@ -516,7 +545,7 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 	// the lines already registered, not to v.
 	t := r.table.Load()
 	r.fold(t)
-	t = t.with(v, first, last, r.geom, r.sampler.Window > r.sampler.Burst)
+	t = t.with(r, v, first, last, r.sampler.Window > r.sampler.Burst)
 	r.table.Store(t)
 	r.plan(t)
 	r.mu.Unlock()
@@ -532,15 +561,16 @@ func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 	var tracks []*VTrack
 	if i, ok := t.search(line); ok {
 		ws := &t.words[i]
-		if ws.ctr != nil && size == cacheline.WordSize && addr&(cacheline.WordSize-1) == 0 {
+		if ws.ctr != nil && !ws.joined && size == cacheline.WordSize && addr&(cacheline.WordSize-1) == 0 {
 			w := r.geom.WordIndex(addr)
-			if c := &ws.ctr[w]; c.Load()>>32 != 0 {
-				if x := c.Add(1); uint32(x) <= uint32(x>>32) {
+			if open, within := ws.ctr[w].Count(); open {
+				if within {
 					return 0
 				}
 				// The word passed its limit: decide the access on the
 				// folded ordinals of the lines the word overlaps.
-				return r.counted(r.settle(ws.members[w], tid, addr, isWrite))
+				_, inv := r.settle(nil, -1, ws.members[w], tid, addr, size, isWrite)
+				return r.counted(inv)
 			}
 		}
 		tracks = t.tracks[i]
@@ -568,34 +598,70 @@ func (r *Registry) counted(inv int) int {
 	return inv
 }
 
-// settle is word counting's slow path. Under mu it folds every word, decides
-// the access on the folded ordinal of each line in vs, and replans.
-func (r *Registry) settle(vs []*VTrack, tid int, addr uint64, isWrite bool) int {
+// settle is word counting's slow path. Under mu it folds every word. For
+// an access to word of t's line that passed the word's limit, the virtual
+// lines counting on the word give the access back, to count it when core
+// routes it. It then decides the access on the folded ordinal of t, when
+// not nil, and of each line in vs, and replans. It returns whether the
+// access invalidated t's line and how many of vs it invalidated.
+func (r *Registry) settle(t *detect.Track, word int, vs []*VTrack, tid int, addr, size uint64, isWrite bool) (tinv bool, inv int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.table.Load()
-	r.fold(t)
-	inv := 0
+	tab := r.table.Load()
+	r.fold(tab)
+	if t != nil {
+		if word >= 0 {
+			if i, ok := tab.search(r.geom.Index(t.LineBase())); ok {
+				for _, v := range tab.words[i].members[word] {
+					v.GiveBack()
+				}
+			}
+		}
+		tinv = t.Decide(tid, addr, size, isWrite)
+	}
 	for _, v := range vs {
-		if v.sampler.ShouldRecord(v.accesses.Load()) && v.record(tid, addr, isWrite) {
+		if v.Records(v.Folded()) && v.record(tid, addr, isWrite) {
 			inv++
 		}
 	}
-	r.plan(t)
-	return inv
+	r.plan(tab)
+	return tinv, inv
 }
 
-// fold moves each word's pending count into the ordinals of the virtual
-// lines the word overlaps and closes the word. Call with mu held.
+// Settle is the slow path of a track that joined its line's word counters
+// (detect.Folder), and of core's access path when an access to the line's
+// word passes that word's limit: see settle. Core routes the access after.
+func (r *Registry) Settle(t *detect.Track, word int, tid int, addr, size uint64, isWrite bool) bool {
+	tinv, _ := r.settle(t, word, nil, tid, addr, size, isWrite)
+	return tinv
+}
+
+// ResetTrack resets a tracked line's state (detect.Track.Reset). When the
+// track has joined its line's word counters, the counts pending on the
+// words are folded first, so that the reset clears the track's share of
+// them, and the words are replanned from the reset ordinal.
+func (r *Registry) ResetTrack(t *detect.Track) {
+	if !t.Joined() {
+		t.Reset()
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tab := r.table.Load()
+	r.fold(tab)
+	t.Reset()
+	r.plan(tab)
+}
+
+// fold moves each word's pending count into the ordinals of the lines
+// counting on the word and closes the word. Call with mu held.
 func (r *Registry) fold(t *routeTable) {
 	for _, ws := range t.words {
 		for w := range ws.ctr {
-			if ws.ctr[w].Load() == 0 {
-				continue
-			}
-			c := uint64(uint32(ws.ctr[w].Swap(0)))
-			for _, v := range ws.members[w] {
-				v.accesses.Add(c)
+			if c := ws.ctr[w].Take(); c != 0 {
+				for _, o := range ws.ords[w] {
+					o.Fold(c)
+				}
 			}
 		}
 	}
@@ -607,51 +673,38 @@ func (r *Registry) fold(t *routeTable) {
 // is its allowance. A line whose share is 0 — inside its burst, or too close
 // to it — keeps its words closed and counts exactly. Call with mu held.
 func (r *Registry) plan(t *routeTable) {
-	for _, v := range t.all {
-		n := v.accesses.Load()
-		run := v.sampler.SkipAfter(n)
-		v.runEnd, v.share, v.wordSum = n+run, 0, 0
-		if len(v.words) > 0 {
-			v.share = min(run/uint64(2*len(v.words)), maxWordLimit)
-		}
+	for _, o := range t.ords {
+		o.Plan()
 	}
 	for _, ws := range t.words {
-		for _, vs := range ws.members {
-			lim := wordLimit(vs)
-			for _, v := range vs {
-				v.wordSum += lim
+		for _, os := range ws.ords {
+			lim := wordLimit(os)
+			for _, o := range os {
+				o.Take(lim)
 			}
 		}
 	}
 	// Each allowance is published before any of the line's words opens:
 	// until then its direct accesses are decided on their own ordinals.
-	for _, v := range t.all {
-		var allow uint64
-		if v.share > 0 {
-			allow = v.runEnd - v.wordSum
-		}
-		v.allow.Store(allow)
+	for _, o := range t.ords {
+		o.Open()
 	}
-	// Adding the limit, not storing it, keeps the counts of accesses that
-	// raced the fold.
 	for _, ws := range t.words {
-		for w, vs := range ws.members {
-			if lim := wordLimit(vs); lim > 0 {
-				ws.ctr[w].Add(lim << 32)
-			}
+		for w, os := range ws.ords {
+			ws.ctr[w].Reopen(wordLimit(os))
 		}
 	}
 }
 
-// wordLimit returns the smallest share among a word's virtual lines, 0 when
-// it has none.
-func wordLimit(vs []*VTrack) uint64 {
-	if len(vs) == 0 {
+// wordLimit returns the smallest share among a word's lines, 0 when it has
+// none.
+func wordLimit(os []*detect.Ordinal) uint64 {
+	if len(os) == 0 {
 		return 0
 	}
-	lim := vs[0].share
-	for _, v := range vs[1:] {
-		lim = min(lim, v.share)
+	lim := os[0].Share()
+	for _, o := range os[1:] {
+		lim = min(lim, o.Share())
 	}
 	return lim
 }

@@ -115,7 +115,7 @@ func TestRegistryMatchesOrdinalModel(t *testing.T) {
 						seed, i, l.span, sampler.Window, sampler.Burst,
 						v.Accesses(), v.Recorded(), v.Invalidations(), l.accesses, l.recorded, l.inv)
 				}
-				pending = pending || v.accesses.Load() != v.Accesses()
+				pending = pending || v.Folded() != v.Accesses()
 			}
 		}
 		if !pending {

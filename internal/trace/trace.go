@@ -304,7 +304,7 @@ type Reader struct {
 // NewReader validates the header and returns a strict Reader: the first
 // malformed or truncated record fails Next with a *DecodeError.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, maxRecordSize)
+	br := newBuffer(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
@@ -327,7 +327,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // substituted and the damage is flagged in Stats. Only I/O errors from the
 // underlying reader are fatal.
 func NewSalvageReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, maxRecordSize)
+	br := newBuffer(r)
 	rd := &Reader{r: br, salvage: true}
 	rd.stats.FirstErrorOffset = -1
 	buf, perr := br.Peek(headerSize)
@@ -347,6 +347,20 @@ func NewSalvageReader(r io.Reader) (*Reader, error) {
 	rd.stats.HeaderDamaged = true
 	rd.hdr = defaultHeader()
 	return rd, nil
+}
+
+// newBuffer returns the buffered reader a Reader decodes from: one that
+// holds maxRecordSize bytes, enough for any record, or only the rest of the
+// input when r reports a shorter length (Len() int, as *bytes.Reader,
+// *bytes.Buffer and *strings.Reader do), so that opening a short trace
+// allocates little more than the trace holds. It holds a header at least,
+// which a salvage reader peeks whole.
+func newBuffer(r io.Reader) *bufio.Reader {
+	size := maxRecordSize
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
+		size = max(l.Len(), headerSize)
+	}
+	return bufio.NewReaderSize(r, size)
 }
 
 // decodeHeader parses the 20 fixed header bytes after the magic.
@@ -456,11 +470,12 @@ func (r *Reader) nextSalvage() error {
 
 // refill discards the decoded bytes of the window and peeks as many bytes
 // as r buffers, so the window starts at the next undecoded byte. It reports
-// whether any byte is left.
+// whether any byte is left. Peeking more than the buffer holds would fail
+// with bufio.ErrBufferFull, which would read as an I/O error.
 func (r *Reader) refill() bool {
 	_, _ = r.r.Discard(r.pos) // cannot fail: the bytes were peeked
 	r.pos = 0
-	r.win, r.rerr = r.r.Peek(maxRecordSize)
+	r.win, r.rerr = r.r.Peek(r.r.Size())
 	return len(r.win) > 0
 }
 

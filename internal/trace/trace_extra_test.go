@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,5 +180,68 @@ func TestReplayWritesOnlyEventsDetect(t *testing.T) {
 	}
 	if len(res.Report.FalseSharing()) == 0 {
 		t.Error("writes-only trace lost the sharing")
+	}
+}
+
+// tinyTrace is a header and one write record.
+func tinyTrace(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{HeapBase: 0x400000000, HeapSize: 1 << 20, LineSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteEvent(Event{Op: OpWrite, TID: 1, Addr: 0x400000040, Size: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// drain opens raw with open and decodes every record.
+func drain(t testing.TB, raw []byte, open func(io.Reader) (*Reader, error)) int {
+	r, err := open(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+}
+
+// A reader over an input that reports its length buffers no more than the
+// input: opening and draining a one-record trace allocates a few hundred
+// bytes, not a maximal record's buffer.
+func TestTinyTraceAllocatesLittle(t *testing.T) {
+	raw := tinyTrace(t)
+	for name, open := range map[string]func(io.Reader) (*Reader, error){"strict": NewReader, "salvage": NewSalvageReader} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const opens = 100
+		for i := 0; i < opens; i++ {
+			if n := drain(t, raw, open); n != 1 {
+				t.Fatalf("%s: decoded %d records, want 1", name, n)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / opens; per > 1024 {
+			t.Errorf("%s: opening and draining a %d-byte trace allocated %d bytes, want <= 1024", name, len(raw), per)
+		}
+	}
+}
+
+func BenchmarkOpenTinyTrace(b *testing.B) {
+	raw := tinyTrace(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		drain(b, raw, NewReader)
 	}
 }
