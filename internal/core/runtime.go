@@ -455,15 +455,17 @@ func (rt *Runtime) handleLine(tid int, line uint64, addr, size uint64, isWrite b
 	// open word with the word's one add, for itself and its virtual lines
 	// (DESIGN §5). Past the word's limit the registry decides the access on
 	// the line's folded ordinal, and routing decides it for the virtual lines.
-	var invalidated bool
-	if c := rt.wordCounter(track, addr, size); c == nil {
-		invalidated = track.HandleAccess(tid, addr, size, isWrite)
-	} else if open, within := c.Count(); !open {
-		invalidated = track.HandleAccess(tid, addr, size, isWrite)
-	} else if within {
+	var open, within, invalidated bool
+	if c := rt.wordCounter(track, addr, size); c != nil {
+		open, within = c.Count()
+	}
+	switch {
+	case within:
 		return true
-	} else {
+	case open:
 		invalidated = rt.vreg.Settle(track, rt.geom.WordIndex(addr), tid, addr, size, isWrite)
+	default:
+		invalidated = track.HandleAccess(tid, addr, size, isWrite)
 	}
 	if invalidated {
 		if rt.obs != nil {

@@ -432,9 +432,9 @@ func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting b
 			n.tracks = slices.Insert(n.tracks, i, nil)
 			var ws lineWords
 			if counting {
-				ws = r.newLineWords(l)
-				if ws.joined {
-					n.ords = append(n.ords, ws.ords[0][0])
+				var joined *detect.Track
+				if ws, joined = r.newLineWords(l); joined != nil {
+					n.ords = append(n.ords, &joined.Ordinal)
 				}
 			}
 			n.words = slices.Insert(n.words, i, ws)
@@ -462,23 +462,24 @@ func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting b
 }
 
 // newLineWords allocates the word counters of physical line index l, all
-// closed, and lets the line's track join them. Only a line new to the index
-// gets counters, so a track joins before any access counts on its words
-// for the virtual lines alone; a track installed later, which only a fused
-// line larger than two lines can cover, keeps counting alone.
-func (r *Registry) newLineWords(l uint64) lineWords {
+// closed, and lets the line's track join them; it returns the track that
+// joined, if any. Only a line new to the index gets counters, so a track
+// joins before any access counts on its words for the virtual lines alone;
+// a track installed later, which only a fused line wider than two lines can
+// cover, keeps counting alone.
+func (r *Registry) newLineWords(l uint64) (lineWords, *detect.Track) {
 	n := r.geom.WordsPerLine()
 	ws := lineWords{
 		ctr:     make([]detect.WordCounter, n),
 		members: make([][]*VTrack, n),
 		ords:    make([][]*detect.Ordinal, n),
 	}
-	if r.track == nil {
-		return ws
+	var t *detect.Track
+	if r.track != nil {
+		t = r.track(r.geom.Base(l))
 	}
-	t := r.track(r.geom.Base(l))
 	if t == nil {
-		return ws
+		return ws, nil
 	}
 	ctr := make([]*detect.WordCounter, n)
 	for w := range ctr {
@@ -487,7 +488,7 @@ func (r *Registry) newLineWords(l uint64) lineWords {
 	}
 	t.Join(ctr, r)
 	ws.joined = true
-	return ws
+	return ws, t
 }
 
 // SetObserver wires the registry into an observability layer: a gauge of
