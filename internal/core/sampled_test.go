@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -50,10 +51,7 @@ func runSampledLReg(t *testing.T, threads, scale int) (core.Stats, []sampledFind
 		}
 	}
 	slices.SortFunc(got, func(a, b sampledFinding) int {
-		if a.accesses != b.accesses {
-			return int(a.accesses) - int(b.accesses)
-		}
-		return int(a.invalidations) - int(b.invalidations)
+		return cmp.Or(cmp.Compare(a.accesses, b.accesses), cmp.Compare(a.invalidations, b.invalidations))
 	})
 	return rt.Stats(), got
 }

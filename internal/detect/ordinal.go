@@ -81,12 +81,8 @@ func (o *Ordinal) Count() (n uint64, fold bool) {
 	return n, false
 }
 
-// Records reports whether sampling records the n-th access.
-func (o *Ordinal) Records(n uint64) bool { return o.sampler.ShouldRecord(n) }
-
-// EndsBurst reports whether the n-th access is the last of its sampling
-// burst, so that an unrecorded run starts after it.
-func (o *Ordinal) EndsBurst(n uint64) bool { return o.sampler.SkipAfter(n) != 0 }
+// SamplerConfig returns the line's sampling policy.
+func (o *Ordinal) SamplerConfig() Sampler { return o.sampler }
 
 // Folded returns the ordinal counted so far, the last access's ordinal
 // right after a fold.

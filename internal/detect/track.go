@@ -491,9 +491,6 @@ func (t *Track) WindowPhase() (pos uint64, recording bool) {
 	return pos, pos < t.sampler.Burst
 }
 
-// SamplerConfig returns the track's sampling policy.
-func (t *Track) SamplerConfig() Sampler { return t.sampler }
-
 // FlushMetrics pushes the exact recorded-access total into the registry
 // counter; the hot path batches pushes to every obs.SyncBatch-th access.
 // Safe to call on an unobserved track (no-op).

@@ -237,11 +237,11 @@ func (r *Registry) offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool)
 			inv += settled
 			continue
 		}
-		if n != 0 && v.Records(n) {
+		if s := v.SamplerConfig(); n != 0 && s.ShouldRecord(n) {
 			if v.record(tid, addr, isWrite) {
 				inv++
 			}
-			if v.EndsBurst(n) {
+			if s.SkipAfter(n) != 0 {
 				// The line leaves its burst: reopen its words.
 				r.settle(nil, -1, nil, tid, addr, size, isWrite)
 			}
@@ -621,7 +621,7 @@ func (r *Registry) settle(t *detect.Track, word int, vs []*VTrack, tid int, addr
 		tinv = t.Decide(tid, addr, size, isWrite)
 	}
 	for _, v := range vs {
-		if v.Records(v.Folded()) && v.record(tid, addr, isWrite) {
+		if v.SamplerConfig().ShouldRecord(v.Folded()) && v.record(tid, addr, isWrite) {
 			inv++
 		}
 	}
