@@ -9,7 +9,6 @@
 package cachesim
 
 import (
-	"container/list"
 	"fmt"
 
 	"predator/internal/cacheline"
@@ -51,14 +50,9 @@ type CostModel struct {
 	MissCycles       uint64
 	InvalidateCycles uint64
 	WritebackCycles  uint64
-	// LLCHitCycles, when positive, enables a shared last-level cache:
-	// L1 misses that hit the LLC cost this instead of MissCycles (the
-	// evaluation platform had a shared L2; the default model omits it
-	// for simplicity, so existing calibrations are unchanged).
-	LLCHitCycles uint64
 }
 
-// DefaultCostModel returns the default cycle costs.
+// DefaultCostModel returns the cycle costs every simulator uses.
 func DefaultCostModel() CostModel {
 	return CostModel{HitCycles: 1, MissCycles: 100, InvalidateCycles: 40, WritebackCycles: 60}
 }
@@ -67,70 +61,33 @@ func DefaultCostModel() CostModel {
 type Config struct {
 	Cores    int // number of cores (private caches); default 8
 	LineSize int // cache line size in bytes; default 64
-	// LinesPerCache bounds each private cache's capacity in lines (LRU
-	// eviction). 0 means unbounded (coherence-only simulation).
-	LinesPerCache int
-	// LLCLines bounds the shared last-level cache's capacity (LRU).
-	// Only meaningful when Cost.LLCHitCycles > 0; 0 means unbounded.
-	LLCLines int
-	Cost     CostModel // zero value selects DefaultCostModel
 }
 
 // Stats aggregates simulator counters.
 type Stats struct {
 	Accesses      uint64
 	Hits          uint64
-	Misses        uint64 // cold + coherence + capacity
+	Misses        uint64 // cold + coherence
 	Invalidations uint64 // lines invalidated in remote caches
-	Writebacks    uint64 // dirty lines written back (eviction or remote read)
-	Evictions     uint64 // capacity evictions
-	LLCHits       uint64 // L1 misses served by the shared LLC
-	LLCMisses     uint64 // L1 misses that went to memory
+	Writebacks    uint64 // dirty lines written back on a remote access
 }
 
-// cacheEntry is one resident line in a private cache.
-type cacheEntry struct {
-	line  uint64
-	state State
-	lru   *list.Element
-}
-
-// cache is one core's private cache.
+// cache is one core's private cache, unbounded: the coherence state of each
+// resident line.
 type cache struct {
-	lines  map[uint64]*cacheEntry
-	lru    *list.List // front = most recent; values are line numbers
-	cap    int
+	lines  map[uint64]State
 	cycles uint64
 }
 
-func newCache(capacity int) *cache {
-	return &cache{lines: make(map[uint64]*cacheEntry), lru: list.New(), cap: capacity}
-}
-
-func (c *cache) touch(e *cacheEntry) {
-	c.lru.MoveToFront(e.lru)
-}
-
-func (c *cache) insert(line uint64, st State) *cacheEntry {
-	e := &cacheEntry{line: line, state: st}
-	e.lru = c.lru.PushFront(line)
-	c.lines[line] = e
-	return e
-}
-
-func (c *cache) remove(e *cacheEntry) {
-	c.lru.Remove(e.lru)
-	delete(c.lines, e.line)
-}
+func newCache() *cache { return &cache{lines: make(map[uint64]State)} }
 
 // Sim is a deterministic MESI simulator. It is NOT safe for concurrent use:
 // feed it a single interleaved access stream (that is the point — the
 // interleaving is the experiment's controlled variable).
 type Sim struct {
-	cfg     Config
+	cost    CostModel
 	geom    cacheline.Geometry
 	cores   []*cache
-	llc     *cache // shared last-level cache; nil when disabled
 	stats   Stats
 	perLine map[uint64]uint64 // line -> invalidations caused on it
 }
@@ -150,19 +107,14 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
-	}
 	s := &Sim{
-		cfg:     cfg,
+		cost:    DefaultCostModel(),
 		geom:    geom,
+		cores:   make([]*cache, cfg.Cores),
 		perLine: make(map[uint64]uint64),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, newCache(cfg.LinesPerCache))
-	}
-	if cfg.Cost.LLCHitCycles > 0 {
-		s.llc = newCache(cfg.LLCLines)
+	for i := range s.cores {
+		s.cores[i] = newCache()
 	}
 	return s, nil
 }
@@ -201,80 +153,55 @@ func (s *Sim) Access(core int, addr, size uint64, isWrite bool) {
 func (s *Sim) accessLine(core int, line uint64, isWrite bool) {
 	s.stats.Accesses++
 	c := s.cores[core]
-	e := c.lines[line]
+	st, resident := c.lines[line]
 
-	if e != nil && (isWrite && e.state != Shared || !isWrite) {
+	if resident && (isWrite && st != Shared || !isWrite) {
 		// Hit: M/E for writes (E silently upgrades to M), any for reads.
 		s.stats.Hits++
-		c.cycles += s.cfg.Cost.HitCycles
+		c.cycles += s.cost.HitCycles
 		if isWrite {
-			e.state = Modified
+			c.lines[line] = Modified
 		}
-		c.touch(e)
 		return
 	}
 
-	if e != nil && isWrite && e.state == Shared {
-		// Upgrade miss: invalidate the other sharers.
+	if resident {
+		// Upgrade miss, a write to a Shared copy: invalidate the other
+		// sharers.
 		s.invalidateOthers(core, line)
-		e.state = Modified
-		c.touch(e)
+		c.lines[line] = Modified
 		s.stats.Hits++ // data already present; only an upgrade transaction
-		c.cycles += s.cfg.Cost.HitCycles + s.cfg.Cost.InvalidateCycles
+		c.cycles += s.cost.HitCycles + s.cost.InvalidateCycles
 		return
 	}
 
-	// Miss: fill from the shared LLC when present, else from memory.
+	// Miss: fill from memory.
 	s.stats.Misses++
-	c.cycles += s.fillCost(line)
+	c.cycles += s.cost.MissCycles
 	if isWrite {
 		// Read-for-ownership: invalidate every other copy.
 		if s.invalidateOthers(core, line) {
-			c.cycles += s.cfg.Cost.InvalidateCycles
+			c.cycles += s.cost.InvalidateCycles
 		}
-		s.install(core, line, Modified)
+		c.lines[line] = Modified
 		return
 	}
 	// Read miss: downgrade a remote Modified copy, share with others.
-	sharers := false
+	st = Exclusive
 	for i, other := range s.cores {
 		if i == core {
 			continue
 		}
-		if oe := other.lines[line]; oe != nil {
-			sharers = true
-			if oe.state == Modified {
+		if ost, ok := other.lines[line]; ok {
+			st = Shared
+			if ost == Modified {
 				s.stats.Writebacks++
-				c.cycles += s.cfg.Cost.WritebackCycles
+				c.cycles += s.cost.WritebackCycles
 			}
-			oe.state = Shared
+			other.lines[line] = Shared
 		}
 	}
-	if sharers {
-		s.install(core, line, Shared)
-	} else {
-		s.install(core, line, Exclusive)
-	}
-}
-
-// fillCost charges an L1 miss: an LLC hit when the shared cache holds the
-// line, a memory fill otherwise (inserting into the LLC on the way).
-func (s *Sim) fillCost(line uint64) uint64 {
-	if s.llc == nil {
-		return s.cfg.Cost.MissCycles
-	}
-	if e := s.llc.lines[line]; e != nil {
-		s.stats.LLCHits++
-		s.llc.touch(e)
-		return s.cfg.Cost.LLCHitCycles
-	}
-	s.stats.LLCMisses++
-	if s.llc.cap > 0 && len(s.llc.lines) >= s.llc.cap {
-		victim := s.llc.lru.Back()
-		s.llc.remove(s.llc.lines[victim.Value.(uint64)])
-	}
-	s.llc.insert(line, Shared)
-	return s.cfg.Cost.MissCycles
+	c.lines[line] = st
 }
 
 // invalidateOthers removes all remote copies of a line, counting
@@ -285,33 +212,17 @@ func (s *Sim) invalidateOthers(core int, line uint64) bool {
 		if i == core {
 			continue
 		}
-		if oe := other.lines[line]; oe != nil {
+		if st, ok := other.lines[line]; ok {
 			any = true
-			if oe.state == Modified {
+			if st == Modified {
 				s.stats.Writebacks++
 			}
-			other.remove(oe)
+			delete(other.lines, line)
 			s.stats.Invalidations++
 			s.perLine[line]++
 		}
 	}
 	return any
-}
-
-// install inserts a line into a core's cache, evicting LRU on overflow.
-func (s *Sim) install(core int, line uint64, st State) {
-	c := s.cores[core]
-	if c.cap > 0 && len(c.lines) >= c.cap {
-		victim := c.lru.Back()
-		ve := c.lines[victim.Value.(uint64)]
-		if ve.state == Modified {
-			s.stats.Writebacks++
-			c.cycles += s.cfg.Cost.WritebackCycles
-		}
-		c.remove(ve)
-		s.stats.Evictions++
-	}
-	c.insert(line, st)
 }
 
 // Stats returns the aggregate counters.
@@ -377,10 +288,7 @@ func (s *Sim) TotalCycles() uint64 {
 // Reset clears all caches and counters, keeping the configuration.
 func (s *Sim) Reset() {
 	for i := range s.cores {
-		s.cores[i] = newCache(s.cfg.LinesPerCache)
-	}
-	if s.llc != nil {
-		s.llc = newCache(s.cfg.LLCLines)
+		s.cores[i] = newCache()
 	}
 	s.stats = Stats{}
 	s.perLine = make(map[uint64]uint64)

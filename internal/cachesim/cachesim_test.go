@@ -158,39 +158,6 @@ func TestSpanningAccessTouchesBothLines(t *testing.T) {
 	}
 }
 
-func TestCapacityEviction(t *testing.T) {
-	s := MustNew(Config{Cores: 1, LinesPerCache: 4})
-	for i := uint64(0); i < 8; i++ {
-		s.Access(0, i*64, 8, true)
-	}
-	st := s.Stats()
-	if st.Evictions != 4 {
-		t.Errorf("evictions = %d, want 4", st.Evictions)
-	}
-	if st.Writebacks != 4 {
-		t.Errorf("writebacks = %d, want 4 (dirty victims)", st.Writebacks)
-	}
-	// Reaccess the oldest line: capacity miss.
-	before := s.Stats().Misses
-	s.Access(0, 0, 8, false)
-	if s.Stats().Misses != before+1 {
-		t.Error("evicted line hit")
-	}
-}
-
-func TestLRUOrder(t *testing.T) {
-	s := MustNew(Config{Cores: 1, LinesPerCache: 2})
-	s.Access(0, 0, 8, false)   // A
-	s.Access(0, 64, 8, false)  // B
-	s.Access(0, 0, 8, false)   // touch A -> LRU victim is B
-	s.Access(0, 128, 8, false) // C evicts B
-	before := s.Stats().Misses
-	s.Access(0, 0, 8, false) // A still resident
-	if s.Stats().Misses != before {
-		t.Error("LRU evicted the recently used line")
-	}
-}
-
 func TestCoreWrapping(t *testing.T) {
 	s := sim2(t)
 	s.Access(2, 0x1000, 8, true)  // wraps to core 0
@@ -292,7 +259,7 @@ func TestPropSingleCoreClean(t *testing.T) {
 			s.Access(0, uint64(op%1024)*8, 8, op&0x8000 != 0)
 		}
 		st := s.Stats()
-		return st.Invalidations == 0 && st.Writebacks == 0 && st.Evictions == 0
+		return st.Invalidations == 0 && st.Writebacks == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -313,75 +280,5 @@ func BenchmarkPingPong(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Access(i&1, 0x1000+uint64(i&1)*8, 8, true)
-	}
-}
-
-func llcSim(t testing.TB, llcLines int) *Sim {
-	t.Helper()
-	cost := DefaultCostModel()
-	cost.LLCHitCycles = 20
-	return MustNew(Config{Cores: 2, LinesPerCache: 4, LLCLines: llcLines, Cost: cost})
-}
-
-func TestLLCServesCapacityMisses(t *testing.T) {
-	s := llcSim(t, 0)
-	// Touch 8 lines (L1 holds 4): the second pass misses L1 but hits LLC.
-	for pass := 0; pass < 2; pass++ {
-		for i := uint64(0); i < 8; i++ {
-			s.Access(0, i*64, 8, false)
-		}
-	}
-	st := s.Stats()
-	if st.LLCMisses != 8 {
-		t.Errorf("LLC misses = %d, want 8 cold", st.LLCMisses)
-	}
-	if st.LLCHits != 8 {
-		t.Errorf("LLC hits = %d, want 8 on the second pass", st.LLCHits)
-	}
-}
-
-func TestLLCHitsCheaperThanMemory(t *testing.T) {
-	withLLC := llcSim(t, 0)
-	without := MustNew(Config{Cores: 2, LinesPerCache: 4})
-	for pass := 0; pass < 3; pass++ {
-		for i := uint64(0); i < 8; i++ {
-			withLLC.Access(0, i*64, 8, false)
-			without.Access(0, i*64, 8, false)
-		}
-	}
-	if withLLC.CoreCycles(0) >= without.CoreCycles(0) {
-		t.Errorf("LLC did not reduce cycles: %d vs %d",
-			withLLC.CoreCycles(0), without.CoreCycles(0))
-	}
-}
-
-func TestLLCCapacityEvicts(t *testing.T) {
-	s := llcSim(t, 4)
-	for i := uint64(0); i < 8; i++ {
-		s.Access(0, i*64, 8, false)
-	}
-	// Line 0 was evicted from the 4-line LLC: a re-access is an LLC miss.
-	before := s.Stats().LLCMisses
-	s.Access(0, 0, 8, false)
-	if s.Stats().LLCMisses != before+1 {
-		t.Error("evicted LLC line still hit")
-	}
-}
-
-func TestLLCDisabledByDefault(t *testing.T) {
-	s := MustNew(Config{Cores: 2})
-	s.Access(0, 0, 8, false)
-	if st := s.Stats(); st.LLCHits != 0 || st.LLCMisses != 0 {
-		t.Errorf("LLC counters active while disabled: %+v", st)
-	}
-}
-
-func TestLLCSurvivesReset(t *testing.T) {
-	s := llcSim(t, 0)
-	s.Access(0, 0, 8, false)
-	s.Reset()
-	s.Access(0, 0, 8, false)
-	if st := s.Stats(); st.LLCHits != 0 || st.LLCMisses != 1 {
-		t.Errorf("Reset did not clear LLC: %+v", st)
 	}
 }

@@ -27,12 +27,12 @@ func memberConfig() Config {
 }
 
 // memberPair returns a runtime whose tracked lines join their word counters
-// and a reference runtime whose registry has no track to join, so that its
-// tracks count every access themselves and routing counts the virtual
-// lines, as perfbench's ledger drives them. Both heaps hold one 256-byte
-// object that covers lines lo and lo+64, where lo is the first line of a
-// doubled line; two threads write the words on either side of lo+64 until
-// each runtime has registered the centered line over the pair and the
+// and a reference runtime whose registry names no tracks, so that no line
+// gets word counters and every tracked and virtual line counts each of its
+// accesses itself, as perfbench's ledger drives them. Both heaps hold one
+// 256-byte object that covers lines lo and lo+64, where lo is the first line
+// of a doubled line; two threads write the words on either side of lo+64
+// until each runtime has registered the centered line over the pair and the
 // doubled line over both lines.
 func memberPair(t testing.TB) (rt, ref *Runtime, lo uint64) {
 	t.Helper()
@@ -157,12 +157,13 @@ func sameTracking(rt, ref *Runtime) error {
 	return nil
 }
 
-// A tracked line that joins its words' counters tracks exactly as one that
-// counts every access itself: driven serially with the same seeded stream
-// (every access kind in stretches of different mixes, three threads, a 64/4
-// sampling window, and a free that resets both member lines), the two
-// runtimes agree on every tracked and virtual line at every checkpoint, and
-// the member lines did count on their words.
+// Word counting tracks exactly as counting every access on every line: a
+// runtime whose tracked lines join their words' counters and a reference
+// that counts every access on every tracked and virtual line, driven
+// serially with the same seeded stream (every access kind in stretches of
+// different mixes, three threads, a 64/4 sampling window, and a free that
+// resets both member lines), agree on every tracked and virtual line at
+// every checkpoint, and the member lines did count on their words.
 func TestMemberTrackMatchesSeparateCalls(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rt, ref, lo := memberPair(t)

@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,10 +67,6 @@ type Config struct {
 	// Prediction enables virtual-line false sharing prediction (§3).
 	// Corresponds to PREDATOR vs PREDATOR-NP in the paper's evaluation.
 	Prediction bool
-	// LineSizeFactors selects which larger-line geometries prediction
-	// models; each must be a power of two > 1. Empty means {2}, the
-	// paper's doubled-line case.
-	LineSizeFactors []int
 	// FlightDepth sizes the per-tracked-line flight recorder ring (rounded
 	// up to a power of two, clamped to flight.MaxDepth). 0 (the zero value)
 	// selects flight.DefaultDepth — recorders are armed whenever a line is
@@ -98,33 +93,10 @@ func (c Config) Validate() error {
 	if c.SampleWindow > 0 && c.SampleBurst == 0 {
 		return fmt.Errorf("core: sampling enabled with zero SampleBurst records nothing")
 	}
-	for _, f := range c.LineSizeFactors {
-		if f < 2 || f&(f-1) != 0 {
-			return fmt.Errorf("core: line size factor %d must be a power of two > 1", f)
-		}
-	}
 	if c.FlightDepth < FlightDisabled {
 		return fmt.Errorf("core: FlightDepth must be FlightDisabled (-1), 0 (default), or a positive depth, got %d", c.FlightDepth)
 	}
 	return nil
-}
-
-// FuseFactors returns the line size factors prediction models: the
-// configured LineSizeFactors, or {2} when none are set.
-func (c Config) FuseFactors() []int {
-	if len(c.LineSizeFactors) == 0 {
-		return []int{2}
-	}
-	return c.LineSizeFactors
-}
-
-// ElideMargin is the keep-out margin, in lines, that static elision needs
-// under this configuration: the largest prediction factor minus one, so an
-// elided access never shares a physical or predicted virtual line with a
-// neighbouring object. It is never negative, even for factors Validate
-// rejects.
-func (c Config) ElideMargin() int {
-	return max(slices.Max(c.FuseFactors()), 1) - 1
 }
 
 // DefaultConfig returns the paper's default configuration with prediction
@@ -550,7 +522,7 @@ func (rt *Runtime) runPrediction(line uint64, track *detect.Track) {
 			continue
 		}
 		adjTrack := rt.sh.Track(adj)
-		for _, pair := range predict.FindPairsFused(track, adjTrack, rt.geom, rt.cfg.FuseFactors()) {
+		for _, pair := range predict.FindPairs(track, adjTrack, rt.geom) {
 			pairs++
 			rt.hotPairsC.Inc()
 			if rt.vreg.Add(pair) != nil {

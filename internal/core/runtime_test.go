@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -592,31 +593,49 @@ func BenchmarkHandleAccessHotLine(b *testing.B) {
 // virtual lines, under the paper's sampling: two threads write one word each
 // on either side of a line boundary until prediction registers the centered
 // line over the pair and the doubled line over both lines, then one op is
-// one aligned word read or write by either thread, as linear_regression's
-// workers make them.
+// one aligned word read or write, as linear_regression's workers make them.
+// "serial" alternates the two threads on one goroutine; "parallel" makes
+// each goroutine a thread of its own, writing the word of its tid's parity,
+// so that at -cpu 2 each line has one writer as in linear_regression.
 func BenchmarkHandleAccessPredicted(b *testing.B) {
-	h := mem.MustNewHeap(mem.Config{Size: 64 << 20})
-	rt, _ := NewRuntime(h, DefaultConfig())
-	obj, _ := h.AllocWithOffset(0, 256, 0, 0)
-	lo := (obj + 127) &^ 127 // the first line of a doubled line
-	access := func(i int) {
-		tid := i & 1
-		rt.HandleAccess(tid, lo+56+8*uint64(tid), 8, i&2 == 0)
+	setup := func(b *testing.B) (*Runtime, uint64) {
+		h := mem.MustNewHeap(mem.Config{Size: 64 << 20})
+		rt, _ := NewRuntime(h, DefaultConfig())
+		obj, _ := h.AllocWithOffset(0, 256, 0, 0)
+		lo := (obj + 127) &^ 127 // the first line of a doubled line
+		for i := 0; i < 4000; i++ {
+			tid := i & 1
+			rt.HandleAccess(tid, lo+56+8*uint64(tid), 8, i&2 == 0)
+		}
+		kinds := map[string]bool{}
+		for _, v := range rt.vreg.Tracks() {
+			kinds[v.Pair.Kind.String()] = true
+		}
+		if len(kinds) != 2 {
+			b.Fatalf("virtual line kinds %v, want a centered and a doubled line", kinds)
+		}
+		return rt, lo
 	}
-	for i := 0; i < 4000; i++ {
-		access(i)
-	}
-	kinds := map[string]bool{}
-	for _, v := range rt.vreg.Tracks() {
-		kinds[v.Pair.Kind.String()] = true
-	}
-	if len(kinds) != 2 {
-		b.Fatalf("virtual line kinds %v, want a centered and a doubled line", kinds)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		access(i)
-	}
+	b.Run("serial", func(b *testing.B) {
+		rt, lo := setup(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tid := i & 1
+			rt.HandleAccess(tid, lo+56+8*uint64(tid), 8, i&2 == 0)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		rt, lo := setup(b)
+		var next atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			tid := int(next.Add(1) - 1)
+			addr := lo + 56 + 8*uint64(tid&1)
+			for i := 0; pb.Next(); i++ {
+				rt.HandleAccess(tid, addr, 8, i&1 == 0)
+			}
+		})
+	})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -675,73 +694,5 @@ func TestPropReportSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuadrupledLinePrediction(t *testing.T) {
-	// Two threads hammer lines 1 and 2 of a 256-byte object: clean under
-	// 64- AND 128-byte lines (lines 1,2 do not fuse at factor 2 when the
-	// object is 256-aligned), but falsely shared under 256-byte lines.
-	cfg := testConfig()
-	cfg.LineSizeFactors = []int{2, 4}
-	h, err := mem.NewHeap(mem.Config{Size: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRuntime(h, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 256-aligned object: allocate with offset 0 and skip to a 256-aligned
-	// start inside it.
-	raw, _ := h.AllocWithOffset(0, 512+256, 0, 0)
-	addr := (raw + 255) &^ 255
-	hotA := addr + 64 + 56 // tail of line 1
-	hotB := addr + 128     // head of line 2
-	for i := 0; i < 2000; i++ {
-		rt.HandleAccess(1, hotA, 8, true)
-		rt.HandleAccess(2, hotB, 8, true)
-	}
-	rep := rt.Report()
-	if len(rep.Observed()) != 0 {
-		t.Fatal("physical sharing observed; layout wrong")
-	}
-	var sawQuad bool
-	for _, f := range rep.Predicted() {
-		if f.Source == report.SourcePredictedLineSize && f.Span.Size() == 256 {
-			sawQuad = true
-			if f.Span.Start%256 != 0 {
-				t.Errorf("quad span %v not 256-aligned", f.Span)
-			}
-		}
-		if f.Span.Size() == 128 && f.Source == report.SourcePredictedLineSize {
-			t.Errorf("lines 1,2 fused at factor 2: %v", f.Span)
-		}
-	}
-	if !sawQuad {
-		t.Errorf("no quadrupled-line prediction; report:\n%s", rep.String())
-	}
-}
-
-func TestLineSizeFactorValidation(t *testing.T) {
-	h, _ := mem.NewHeap(mem.Config{Size: 1 << 20})
-	for _, tc := range []struct {
-		factors []int
-		valid   bool
-		margin  int // ElideMargin: the largest factor minus one
-	}{
-		{nil, true, 1}, // the zero config predicts doubled lines only
-		{[]int{2, 4}, true, 3},
-		{[]int{3}, false, 2},
-		{[]int{1}, false, 0},
-	} {
-		cfg := testConfig()
-		cfg.LineSizeFactors = tc.factors
-		if _, err := NewRuntime(h, cfg); (err == nil) != tc.valid {
-			t.Errorf("factors %v: NewRuntime error %v, want valid=%v", tc.factors, err, tc.valid)
-		}
-		if got := cfg.ElideMargin(); got != tc.margin {
-			t.Errorf("factors %v: ElideMargin %d, want %d", tc.factors, got, tc.margin)
-		}
 	}
 }

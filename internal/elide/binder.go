@@ -61,23 +61,24 @@ func (x *Index) LineSize() uint64 { return x.lineSize }
 // included.
 func (x *Index) Entries() int { return x.entries }
 
+// MarginLines is the safety margin, in whole lines, that a binder trims from
+// each end of a proven object's interior. Prediction's virtual lines span at
+// most two physical lines (predict.FindPairs), so with one line of margin a
+// doubled or shifted line can never straddle an elided line and a foreign
+// one.
+const MarginLines = 1
+
 // Binder makes an empty binder for a heap with the given geometry. A
 // line-size mismatch is a staleness error: the proofs were made for other
-// lines and must not bind. marginLines is the per-end safety margin in
-// whole lines; prediction with line-size factor F needs F-1 (the harness
-// passes max(LineSizeFactors)-1, so a factor-2 doubled line can never
-// straddle an elided line and a foreign one).
-func (x *Index) Binder(geom cacheline.Geometry, marginLines int) (*Binder, error) {
+// lines and must not bind.
+func (x *Index) Binder(geom cacheline.Geometry) (*Binder, error) {
 	if x.lineSize != geom.Size() {
 		return nil, lineSizeError(x.lineSize, geom.Size())
-	}
-	if marginLines < 0 {
-		return nil, fmt.Errorf("elide: negative margin %d", marginLines)
 	}
 	return &Binder{
 		idx:      x,
 		lineSize: geom.Size(),
-		margin:   uint64(marginLines) * geom.Size(),
+		margin:   MarginLines * geom.Size(),
 	}, nil
 }
 
@@ -115,9 +116,9 @@ func (x *Index) modeFor(o mem.Object) string {
 // answers the front-end's hot-path question: "is this access provably
 // uninteresting?". Entries bind by allocation callsite (heap objects) or by
 // label (globals); the bound address spans are clipped to lines wholly
-// interior to the object and marginLines lines away from either end, so an
+// interior to the object and MarginLines lines away from either end, so an
 // elided access can never share a physical line — or a predicted virtual
-// line up to (marginLines+1) lines long — with any other object's traffic.
+// line, which spans at most two — with any other object's traffic.
 //
 // The span set is a copy-on-write sorted slice behind an atomic pointer:
 // lookups are a lock-free binary search, rebinds (alloc/free hooks, cold
@@ -144,12 +145,12 @@ type span struct {
 
 // NewBinder compiles the manifest and makes a binder for the geometry (see
 // Compile and Index.Binder).
-func NewBinder(m *Manifest, geom cacheline.Geometry, marginLines int) (*Binder, error) {
+func NewBinder(m *Manifest, geom cacheline.Geometry) (*Binder, error) {
 	x, err := Compile(m)
 	if err != nil {
 		return nil, err
 	}
-	return x.Binder(geom, marginLines)
+	return x.Binder(geom)
 }
 
 // Attach subscribes the binder to the heap's alloc/free hooks and binds the

@@ -12,12 +12,11 @@
 // of Race Detection").
 //
 // Safety is enforced, not assumed: the binder only ever elides accesses to
-// cache lines wholly interior to a proven object, at least marginLines
+// cache lines wholly interior to a proven object, at least MarginLines
 // lines away from either end, so no elided access can touch a line — or a
-// predicted virtual line up to (marginLines+1) times the physical size —
-// that any other object's traffic lands on. -bench-deterministic finding
-// counts with a manifest loaded are bit-identical to a manifest-free run,
-// checked in tests and CI.
+// predicted virtual line, which spans at most two — that any other object's
+// traffic lands on. -bench-deterministic finding counts with a manifest
+// loaded are bit-identical to a manifest-free run, checked in tests and CI.
 package elide
 
 import (

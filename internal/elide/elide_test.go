@@ -110,7 +110,7 @@ func TestBinderCallsiteBinding(t *testing.T) {
 
 	m := &Manifest{Version: Version, LineSize: 64,
 		Entries: []Entry{{Proof: ProofReadonly, Mode: ModeReads, Callsite: site}}}
-	b, err := NewBinder(m, geom, 1)
+	b, err := NewBinder(m, geom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestBinderModeAllAndLabels(t *testing.T) {
 	}
 	m := &Manifest{Version: Version, LineSize: 64,
 		Entries: []Entry{{Proof: ProofThreadPrivate, Mode: ModeAll, Label: "table"}}}
-	b, err := NewBinder(m, geom, 1)
+	b, err := NewBinder(m, geom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBinderSmallObjectHasNoInterior(t *testing.T) {
 	_ = h
 	m := &Manifest{Version: Version, LineSize: 64,
 		Entries: []Entry{{Proof: ProofThreadPrivate, Mode: ModeAll, Callsite: site}}}
-	b, err := NewBinder(m, geom, 1)
+	b, err := NewBinder(m, geom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestBinderSmallObjectHasNoInterior(t *testing.T) {
 func TestBinderRejectsStaleManifest(t *testing.T) {
 	geom := cacheline.MustGeometry(64)
 	m := &Manifest{Version: Version, LineSize: 128}
-	if _, err := NewBinder(m, geom, 1); err == nil {
+	if _, err := NewBinder(m, geom); err == nil {
 		t.Error("geometry-mismatched manifest accepted")
 	}
 }
@@ -247,7 +247,7 @@ func TestIndexSharedAcrossBinders(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			b, err := x.Binder(geom, 1)
+			b, err := x.Binder(geom)
 			if err != nil {
 				t.Error(err)
 				return

@@ -451,14 +451,14 @@ func execute(w Workload, opts Options, heap *mem.Heap, sinkOverride instr.Sink) 
 	if idx != nil {
 		esp := tracer.Start("elide.bind", opts.Span)
 		esp.SetAttr("entries", uint64(idx.Entries()))
-		binder, berr := idx.Binder(h.Geometry(), cfg.ElideMargin())
+		binder, berr := idx.Binder(h.Geometry())
 		if berr != nil {
 			esp.End()
 			return nil, fmt.Errorf("harness: elision manifest: %w", berr)
 		}
 		binder.Attach(h)
 		in.SetElision(binder)
-		esp.SetAttr("margin_lines", uint64(cfg.ElideMargin()))
+		esp.SetAttr("margin_lines", uint64(elide.MarginLines))
 		esp.End()
 	}
 

@@ -48,19 +48,16 @@ func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 // String renders the span ID as 16 lowercase hex digits.
 func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 
-// DefaultCapacity is the span buffer's default size. Every hot-pair search
-// is a span, so one run can finish hundreds (a deterministic histogram run
-// finishes 778), and a multi-run experiment such as predbench's "all"
-// overflows the buffer: it keeps the newest spans and counts the rest in
-// Dropped, so memory stays bounded however long the process runs.
+// DefaultCapacity is the span buffer's size, a power of two. Every hot-pair
+// search is a span, so one run can finish hundreds (a deterministic
+// histogram run finishes 778), and a multi-run experiment such as
+// predbench's "all" overflows the buffer: it keeps the newest spans and
+// counts the rest in Dropped, so memory stays bounded however long the
+// process runs.
 const DefaultCapacity = 4096
 
 // Config parameterizes a Tracer.
 type Config struct {
-	// Capacity bounds the finished-span buffer (rounded up to a power of
-	// two; 0 selects DefaultCapacity). When full, the oldest span is
-	// overwritten and counted in Dropped.
-	Capacity int
 	// Deterministic seeds ID generation from Seed instead of the clock, so
 	// repeated runs mint identical trace/span IDs, as the CLIs' -deterministic
 	// runs do. Structure comparison (Signature) never depends on IDs, so
@@ -93,17 +90,9 @@ type Tracer struct {
 
 // New builds a tracer with a fresh trace ID.
 func New(cfg Config) *Tracer {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
 	t := &Tracer{
-		slots: make([]atomic.Pointer[Span], size),
-		mask:  uint64(size - 1),
+		slots: make([]atomic.Pointer[Span], DefaultCapacity),
+		mask:  DefaultCapacity - 1,
 		epoch: time.Now(),
 	}
 	seed := cfg.Seed

@@ -116,31 +116,33 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 }
 
 func TestBoundedBufferDropsOldest(t *testing.T) {
-	tr := New(Config{Capacity: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(Config{})
+	const extra = 6
+	for i := 0; i < DefaultCapacity+extra; i++ {
 		tr.Start(fmt.Sprintf("s%d", i), nil).End()
 	}
 	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("buffer held %d spans, want 4", len(snap))
+	if len(snap) != DefaultCapacity {
+		t.Fatalf("buffer held %d spans, want %d", len(snap), DefaultCapacity)
 	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", tr.Dropped())
+	if tr.Dropped() != extra {
+		t.Fatalf("dropped = %d, want %d", tr.Dropped(), extra)
 	}
-	// The survivors are the newest four.
-	if snap[0].Name != "s6" || snap[3].Name != "s9" {
-		t.Fatalf("wrong survivors: %v", snap)
+	// The survivors are the newest DefaultCapacity.
+	if first, last := fmt.Sprintf("s%d", extra), fmt.Sprintf("s%d", DefaultCapacity+extra-1); snap[0].Name != first || snap[len(snap)-1].Name != last {
+		t.Fatalf("survivors run %s..%s, want %s..%s", snap[0].Name, snap[len(snap)-1].Name, first, last)
 	}
 }
 
 func TestConcurrentPublish(t *testing.T) {
-	tr := New(Config{Capacity: 64})
+	tr := New(Config{})
+	const workers, per = 8, DefaultCapacity/8 + 200
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < per; i++ {
 				s := tr.Start("worker", nil)
 				s.AddAttr("i", uint64(i))
 				s.End()
@@ -149,11 +151,11 @@ func TestConcurrentPublish(t *testing.T) {
 	}
 	wg.Wait()
 	snap := tr.Snapshot()
-	if len(snap) != 64 {
-		t.Fatalf("snapshot has %d spans, want full buffer of 64", len(snap))
+	if len(snap) != DefaultCapacity {
+		t.Fatalf("snapshot has %d spans, want full buffer of %d", len(snap), DefaultCapacity)
 	}
-	if got := tr.Dropped(); got != 8*200-64 {
-		t.Fatalf("dropped = %d, want %d", got, 8*200-64)
+	if got := tr.Dropped(); got != workers*per-DefaultCapacity {
+		t.Fatalf("dropped = %d, want %d", got, workers*per-DefaultCapacity)
 	}
 }
 

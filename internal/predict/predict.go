@@ -68,7 +68,7 @@ type HotPair struct {
 	X, Y     HotWord           // X in the earlier line, Y in the later
 	Span     cacheline.Virtual // the virtual line to verify
 	Kind     Kind
-	Factor   int    // line-size fusion factor for KindDoubledLine (2, 4, ...)
+	Factor   int    // KindDoubledLine: how many physical lines Span fuses (2 from FindPairs)
 	Estimate uint64 // conservative interleaved invalidation estimate
 }
 
@@ -227,14 +227,15 @@ func (v *VTrack) Span() cacheline.Virtual { return v.Pair.Span }
 // or an unrecorded access costs no call.
 func (r *Registry) offer(vs []*VTrack, tid int, addr, size uint64, isWrite bool) int {
 	inv := 0
-	for k, v := range vs {
+	for _, v := range vs {
 		if !v.Pair.Span.Overlaps(addr, size) {
 			continue
 		}
 		n, fold := v.Count()
 		if fold {
-			_, settled := r.settle(nil, -1, vs[k:k+1], tid, addr, size, isWrite)
-			inv += settled
+			if _, vinv := r.settle(nil, -1, v, tid, addr, size, isWrite); vinv {
+				inv++
+			}
 			continue
 		}
 		if s := v.SamplerConfig(); n != 0 && s.ShouldRecord(n) {
@@ -311,21 +312,21 @@ func (v *VTrack) Recorded() uint64 { return v.recorded.Load() }
 //
 // Each virtual line needs every access's ordinal only to decide whether
 // sampling records it, and most ordinals fall in runs that sampling skips.
-// So each physical line with virtual lines also has one counter per 8-byte
-// word (detect.WordCounter): an aligned word access to an open word makes
-// one add on that word, which sits on a line only the word's writers touch,
-// and returns. The line's tracked physical line, when SetTracks names it,
-// joins the counters as one more member, and core's access path then counts
-// such an access for the physical line and its virtual lines with that one
-// add. A fold, under mu, moves each word's count into the ordinals
-// (detect.Ordinal) of the lines counting on it; a plan then gives each word
-// the smallest share among its lines of half of their current unrecorded
-// runs, and leaves the rest of each line's run as its allowance for
-// accesses counted directly. Both run on Add, when a word passes its limit,
-// when a direct count passes a line's allowance, and when a line leaves its
-// burst, and whenever an access is decided the ordinals it is decided on are
-// exact, so a serial access stream is sampled exactly as with one add per
-// line.
+// So each physical line with virtual lines whose track SetTracks names has
+// one counter per 8-byte word (detect.WordCounter), which the track joins:
+// core's access path counts an aligned word access to an open word for the
+// physical line and its virtual lines with one add on that word, which sits
+// on a line only the word's writers touch. Route counts every access it gets
+// on the overlapping virtual lines' own ordinals (detect.Ordinal), as does a
+// virtual line over a line without a track. A fold, under mu, moves each
+// word's count into the ordinals of the lines counting on it; a plan then
+// gives each word the smallest share among its lines of half of their
+// current unrecorded runs, and leaves the rest of each line's run as its
+// allowance for accesses counted directly. Both run on Add, when a word
+// passes its limit, when a direct count passes a line's allowance, and when
+// a line leaves its burst, and whenever an access is decided the ordinals it
+// is decided on are exact, so a serial access stream is sampled exactly as
+// with one add per line.
 type Registry struct {
 	geom    cacheline.Geometry
 	sampler detect.Sampler
@@ -370,20 +371,16 @@ type routeTable struct {
 	tracks [][]*VTrack       // tracks[i]: the virtual lines overlapping lines[i]
 	words  []lineWords       // words[i]: lines[i]'s word counters
 	all    []*VTrack         // every virtual line in registration order
-	ords   []*detect.Ordinal // every ordinal counting on words: joined tracks' and virtual lines'
+	ords   []*detect.Ordinal // every ordinal counting on words: tracks' and virtual lines'
 }
 
 // lineWords is one physical line's word counters, allocated once and kept
 // by every later table, and this table's lists of the lines counting on
-// each word. ctr is nil when sampling records every access.
+// each word. ctr is nil when sampling records every access or the line has
+// no track to join the counters.
 type lineWords struct {
-	ctr     []detect.WordCounter
-	members [][]*VTrack         // members[w]: the virtual lines overlapping word w
-	ords    [][]*detect.Ordinal // ords[w]: the ordinals counting on word w, the joined track's first
-	// joined is set when the line's track counts on the words: core's access
-	// path then makes the words' adds, and routes only the accesses it did
-	// not count on a word.
-	joined bool
+	ctr  []detect.WordCounter
+	ords [][]*detect.Ordinal // ords[w]: the ordinals counting on word w, the track's first
 }
 
 // search returns the position of physical line index l in t.lines, or
@@ -413,9 +410,9 @@ func (t *routeTable) at(l uint64) []*VTrack {
 
 // with returns a new table holding t's virtual lines plus v, indexed under
 // lines first..last, with v counting on the words it overlaps. A line new to
-// the index gets word counters when counting is set, and its track, when r
-// names one, joins them. t is left unchanged: the slices it holds are cloned
-// or shared, never written.
+// the index gets word counters when counting is set and r names its track,
+// which joins them. t is left unchanged: the slices it holds are cloned or
+// shared, never written.
 func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting bool) *routeTable {
 	n := &routeTable{
 		lines:  slices.Clone(t.lines),
@@ -444,11 +441,9 @@ func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting b
 		if ws.ctr == nil {
 			continue
 		}
-		ws.members = slices.Clone(ws.members)
 		ws.ords = slices.Clone(ws.ords)
 		for w := range ws.ctr {
 			if v.Pair.Span.Overlaps(r.geom.Base(l)+uint64(w)*cacheline.WordSize, cacheline.WordSize) {
-				ws.members[w] = append(slices.Clip(ws.members[w]), v)
 				ws.ords[w] = append(slices.Clip(ws.ords[w]), &v.Ordinal)
 				vctr = append(vctr, &ws.ctr[w])
 			}
@@ -462,32 +457,25 @@ func (t *routeTable) with(r *Registry, v *VTrack, first, last uint64, counting b
 }
 
 // newLineWords allocates the word counters of physical line index l, all
-// closed, and lets the line's track join them; it returns the track that
-// joined, if any. Only a line new to the index gets counters, so a track
-// joins before any access counts on its words for the virtual lines alone;
-// a track installed later, which only a fused line wider than two lines can
-// cover, keeps counting alone.
+// closed, and lets the line's track join them; it returns the track. A line
+// without a track gets no counters, and its virtual lines count each of its
+// accesses directly.
 func (r *Registry) newLineWords(l uint64) (lineWords, *detect.Track) {
-	n := r.geom.WordsPerLine()
-	ws := lineWords{
-		ctr:     make([]detect.WordCounter, n),
-		members: make([][]*VTrack, n),
-		ords:    make([][]*detect.Ordinal, n),
-	}
 	var t *detect.Track
 	if r.track != nil {
 		t = r.track(r.geom.Base(l))
 	}
 	if t == nil {
-		return ws, nil
+		return lineWords{}, nil
 	}
+	n := r.geom.WordsPerLine()
+	ws := lineWords{ctr: make([]detect.WordCounter, n), ords: make([][]*detect.Ordinal, n)}
 	ctr := make([]*detect.WordCounter, n)
 	for w := range ctr {
 		ctr[w] = &ws.ctr[w]
 		ws.ords[w] = []*detect.Ordinal{&t.Ordinal}
 	}
 	t.Join(ctr, r)
-	ws.joined = true
 	return ws, t
 }
 
@@ -506,10 +494,10 @@ func (r *Registry) SetObserver(o *obs.Observer) {
 }
 
 // SetTracks names the tracked physical lines: lookup returns the track of
-// the line at a line base address, or nil. A line that gets word counters
-// then counts on them for its track too (see Registry). Call before the
+// the line at a line base address, or nil. Only a named track's line gets
+// word counters, which the track joins (see Registry). Call before the
 // registry sees concurrent traffic; without it, as in perfbench's ledger,
-// every track counts each of its accesses itself.
+// every physical and virtual line counts each of its accesses itself.
 func (r *Registry) SetTracks(lookup func(lineBase uint64) *detect.Track) {
 	r.track = lookup
 }
@@ -554,28 +542,14 @@ func (r *Registry) Add(pair HotPair) *VTrack {
 	return v
 }
 
-// Route forwards an access to every virtual line it overlaps. It returns
-// the number of virtual-line invalidations the access caused.
+// Route offers an access to every virtual line it overlaps, each of which
+// counts it on its own ordinal; an access core counted on a word never
+// reaches it. It returns the number of virtual-line invalidations the
+// access caused.
 func (r *Registry) Route(tid int, addr, size uint64, isWrite bool) int {
 	t := r.table.Load()
 	line := r.geom.Index(addr)
-	var tracks []*VTrack
-	if i, ok := t.search(line); ok {
-		ws := &t.words[i]
-		if ws.ctr != nil && !ws.joined && size == cacheline.WordSize && addr&(cacheline.WordSize-1) == 0 {
-			w := r.geom.WordIndex(addr)
-			if open, within := ws.ctr[w].Count(); open {
-				if within {
-					return 0
-				}
-				// The word passed its limit: decide the access on the
-				// folded ordinals of the lines the word overlaps.
-				_, inv := r.settle(nil, -1, ws.members[w], tid, addr, size, isWrite)
-				return r.counted(inv)
-			}
-		}
-		tracks = t.tracks[i]
-	}
+	tracks := t.at(line)
 	inv := r.offer(tracks, tid, addr, size, isWrite)
 	if size > 0 {
 		if last := r.geom.Index(addr + size - 1); last != line {
@@ -602,10 +576,10 @@ func (r *Registry) counted(inv int) int {
 // settle is word counting's slow path. Under mu it folds every word. For
 // an access to word of t's line that passed the word's limit, the virtual
 // lines counting on the word give the access back, to count it when core
-// routes it. It then decides the access on the folded ordinal of t, when
-// not nil, and of each line in vs, and replans. It returns whether the
-// access invalidated t's line and how many of vs it invalidated.
-func (r *Registry) settle(t *detect.Track, word int, vs []*VTrack, tid int, addr, size uint64, isWrite bool) (tinv bool, inv int) {
+// routes it. It then decides the access on the folded ordinal of t and of
+// v, each when not nil, and replans. It returns whether the access
+// invalidated t's line and v.
+func (r *Registry) settle(t *detect.Track, word int, v *VTrack, tid int, addr, size uint64, isWrite bool) (tinv, vinv bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tab := r.table.Load()
@@ -613,20 +587,19 @@ func (r *Registry) settle(t *detect.Track, word int, vs []*VTrack, tid int, addr
 	if t != nil {
 		if word >= 0 {
 			if i, ok := tab.search(r.geom.Index(t.LineBase())); ok {
-				for _, v := range tab.words[i].members[word] {
-					v.GiveBack()
+				// The track's ordinal comes first; the virtual lines follow.
+				for _, o := range tab.words[i].ords[word][1:] {
+					o.GiveBack()
 				}
 			}
 		}
 		tinv = t.Decide(tid, addr, size, isWrite)
 	}
-	for _, v := range vs {
-		if v.SamplerConfig().ShouldRecord(v.Folded()) && v.record(tid, addr, isWrite) {
-			inv++
-		}
+	if v != nil && v.SamplerConfig().ShouldRecord(v.Folded()) {
+		vinv = v.record(tid, addr, isWrite)
 	}
 	r.plan(tab)
-	return tinv, inv
+	return tinv, vinv
 }
 
 // Settle is the slow path of a track that joined its line's word counters

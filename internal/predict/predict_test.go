@@ -3,7 +3,6 @@ package predict
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -337,55 +336,6 @@ func TestPropPairsSatisfyPaperConditions(t *testing.T) {
 	}
 }
 
-// BenchmarkRegistryRoute routes linear_regression's accumulator stream
-// through its 8 virtual lines under core's default sampling (the first
-// 10,000 of every 1,000,000 accesses). One op is one thread's loop
-// iteration, 11 routed accesses, so that RunParallel's own per-op
-// bookkeeping stays small beside it: the thread loads the points pointer
-// and loads and stores five sums, all aligned words on its own physical
-// line.
-// "serial" alternates two threads' iterations on one goroutine; "parallel"
-// gives each goroutine one thread's line.
-func BenchmarkRegistryRoute(b *testing.B) {
-	type access struct {
-		off   uint64
-		write bool
-	}
-	iter := []access{{8, false}}
-	for _, off := range []uint64{24, 40, 32, 48, 56} {
-		iter = append(iter, access{off, false}, access{off, true})
-	}
-	registry := func() *Registry {
-		r := NewRegistry(geom, detect.NewSampler(1_000_000, 10_000))
-		for _, span := range lregSpans() {
-			r.Add(HotPair{Span: span})
-		}
-		return r
-	}
-	b.Run("serial", func(b *testing.B) {
-		r := registry()
-		for i := 0; i < b.N; i++ {
-			tid := i & 1
-			for _, a := range iter {
-				r.Route(tid, base+64*uint64(tid)+a.off, 8, a.write)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		r := registry()
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			tid := int(next.Add(1)-1) & 1
-			line := base + 64*uint64(tid)
-			for pb.Next() {
-				for _, a := range iter {
-					r.Route(tid, line+a.off, 8, a.write)
-				}
-			}
-		})
-	})
-}
-
 // Property: the invalidation estimate is monotone in both sides' traffic
 // and zero iff neither side writes.
 func TestPropEstimateMonotone(t *testing.T) {
@@ -449,16 +399,16 @@ func TestRegistryConcurrentRouting(t *testing.T) {
 // cloneTable deep-copies a route table's index so a later comparison sees
 // any write into the arrays the original holds.
 func cloneTable(t *routeTable) *routeTable {
-	c := &routeTable{lines: slices.Clone(t.lines), all: slices.Clone(t.all)}
+	c := &routeTable{lines: slices.Clone(t.lines), all: slices.Clone(t.all), ords: slices.Clone(t.ords)}
 	for _, vs := range t.tracks {
 		c.tracks = append(c.tracks, slices.Clone(vs))
 	}
 	for _, ws := range t.words {
-		members := make([][]*VTrack, len(ws.members))
-		for w, vs := range ws.members {
-			members[w] = slices.Clone(vs)
+		ords := make([][]*detect.Ordinal, len(ws.ords))
+		for w, os := range ws.ords {
+			ords[w] = slices.Clone(os)
 		}
-		c.words = append(c.words, lineWords{ctr: ws.ctr, members: members})
+		c.words = append(c.words, lineWords{ctr: ws.ctr, ords: ords})
 	}
 	return c
 }
@@ -466,9 +416,9 @@ func cloneTable(t *routeTable) *routeTable {
 func sameTable(a, b *routeTable) bool {
 	sameWords := func(x, y lineWords) bool {
 		return len(x.ctr) == len(y.ctr) && (len(x.ctr) == 0 || &x.ctr[0] == &y.ctr[0]) &&
-			slices.EqualFunc(x.members, y.members, slices.Equal[[]*VTrack])
+			slices.EqualFunc(x.ords, y.ords, slices.Equal[[]*detect.Ordinal])
 	}
-	return slices.Equal(a.lines, b.lines) && slices.Equal(a.all, b.all) &&
+	return slices.Equal(a.lines, b.lines) && slices.Equal(a.all, b.all) && slices.Equal(a.ords, b.ords) &&
 		slices.EqualFunc(a.tracks, b.tracks, slices.Equal[[]*VTrack]) &&
 		slices.EqualFunc(a.words, b.words, sameWords)
 }
@@ -476,15 +426,14 @@ func sameTable(a, b *routeTable) bool {
 // Add publishes a new route table while Route, Snapshots and
 // SnapshotsOverlapping read without locking: a table loaded before an Add is
 // unchanged after it, and a Route issued once Add has returned reaches the
-// new virtual line. With sampling on, the readers' words also open, pass
-// their limits and fold while Add runs.
+// new virtual line. (core's TestAddConcurrentWithMemberWords runs Add beside
+// accesses counted on member words.)
 func TestRegistryAddConcurrentWithReaders(t *testing.T) {
-	t.Run("exact", func(t *testing.T) { testAddConcurrentWithReaders(t, detect.Sampler{}) })
-	t.Run("sampled", func(t *testing.T) { testAddConcurrentWithReaders(t, detect.NewSampler(100, 5)) })
+	t.Run("exact", testAddConcurrentWithReaders)
 }
 
-func testAddConcurrentWithReaders(t *testing.T, sampler detect.Sampler) {
-	r := NewRegistry(geom, sampler)
+func testAddConcurrentWithReaders(t *testing.T) {
+	r := NewRegistry(geom, detect.Sampler{})
 	hot := r.Add(HotPair{Span: cacheline.NewVirtual(base+28, 64)}) // lines 0 and 1
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

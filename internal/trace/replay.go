@@ -102,7 +102,7 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 	if opts.Elide != nil {
 		esp := tracer.Start("elide.bind", opts.Span)
 		esp.SetAttr("entries", uint64(len(opts.Elide.Entries)))
-		binder, err = elide.NewBinder(opts.Elide, h.Geometry(), cfg.ElideMargin())
+		binder, err = elide.NewBinder(opts.Elide, h.Geometry())
 		if err != nil {
 			esp.End()
 			return nil, fmt.Errorf("trace: elision manifest: %w", err)
@@ -110,7 +110,7 @@ func ReplayWithOptions(r io.Reader, cfg core.Config, opts ReplayOptions) (*Repla
 		// Attach before any OpAlloc/OpGlobal streams in: the heap hooks
 		// bind manifest entries to objects as the replay rebuilds them.
 		binder.Attach(h)
-		esp.SetAttr("margin_lines", uint64(cfg.ElideMargin()))
+		esp.SetAttr("margin_lines", uint64(elide.MarginLines))
 		esp.End()
 	}
 	rt, err := core.NewRuntime(h, cfg)
